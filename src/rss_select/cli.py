@@ -165,6 +165,7 @@ def cmd_cluster(args):
         "max_lloyd_iters": args.max_lloyd_iters,
         "spatial_weight": args.spatial_weight,
         "inertia": within_cluster_ss(vectors, parcellation),
+        "lloyd": list(parcellation.lloyd_restarts),
         "dataset": str(args.dataset),
     })
     outputs = [parc_path, parc_path.with_suffix(".json")]

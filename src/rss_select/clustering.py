@@ -64,19 +64,42 @@ def build_feature_vectors(dataset: Dataset, spatial_weight: float = 0.0) -> np.n
 
 
 def _kmeanspp(features, q, rng):
-    npts = features.shape[0]
-    centers = np.empty((q, features.shape[1]))
-    centers[0] = features[rng.integers(npts)]
-    d2 = ((features - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, q):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(npts, p=d2 / total)
-        else:
-            idx = rng.integers(npts)  # all points coincide with a center
-        centers[j] = features[idx]
-        d2 = np.minimum(d2, ((features - centers[j]) ** 2).sum(axis=1))
+    """k-means++ starts (Arthur & Vassilvitskii, SODA 2007).
+
+    Distances to each new center come from one matrix-vector product against
+    cached row norms. A row identical to a chosen center gets exactly 0, so
+    it is never drawn again.
+    """
+    npts, dim = features.shape
+    row_sq = np.einsum("ij,ij->i", features, features)
+    # bound on the rounding error of row_sq - 2 x.c + |c|^2 when x == c
+    near_tol = 4.0 * (dim + 2) * np.finfo(np.float64).eps
+    centers = np.empty((q, dim))
+    d2 = np.full(npts, np.inf)
+    dist = np.empty(npts)
+    idx = rng.integers(npts)
+    for j in range(q):
+        if j:
+            total = d2.sum()
+            if total > 0:
+                idx = rng.choice(npts, p=d2 / total)
+            else:
+                idx = rng.integers(npts)  # all points coincide with a center
+        center = features[idx]
+        centers[j] = center
+        np.dot(features, -2.0 * center, out=dist)
+        dist += row_sq
+        dist += row_sq[idx]
+        np.maximum(dist, 0.0, out=dist)
+        near = np.flatnonzero(dist <= near_tol * (row_sq + row_sq[idx]))
+        dist[near[(features[near] == center).all(axis=1)]] = 0.0
+        np.minimum(d2, dist, out=d2)
     return centers
+
+
+# distance entries per block of rows in a Lloyd step (4 MiB of float64),
+# so each block is reduced while it is still in cache
+_BLOCK_ENTRIES = 1 << 19
 
 
 def _lloyd(features, centers, max_iters):
@@ -85,24 +108,37 @@ def _lloyd(features, centers, max_iters):
     Returns (assignment, inertia, history); history holds the WCSS after
     each center update and is non-increasing.
     """
+    # imported here, not at module level, so CLI start-up does not pay for it
+    from scipy import sparse
+
     npts = features.shape[0]
     q = centers.shape[0]
     centers = centers.copy()
     sq_all = float((features**2).sum())
+    points = np.arange(npts)
+    ones = np.ones(npts)
+    block_rows = max(1, _BLOCK_ENTRIES // q)
+    block = np.empty((min(block_rows, npts), q))
+    d_own = np.empty(npts)
     prev = None
     history = []
-    assign = np.zeros(npts, dtype=np.int64)
     for _ in range(max_iters):
-        d = (
-            (features**2).sum(axis=1)[:, None]
-            - 2.0 * (features @ centers.T)
-            + (centers**2).sum(axis=1)[None, :]
-        )
-        assign = d.argmin(axis=1)  # ties go to the lowest cluster id
+        # squared distances minus |x|^2, which does not change the argmin
+        neg2_ct = np.ascontiguousarray(-2.0 * centers.T)
+        center_sq = np.einsum("ij,ij->i", centers, centers)
+        assign = np.empty(npts, dtype=np.int64)
+        for start in range(0, npts, block_rows):
+            stop = min(start + block_rows, npts)
+            d = block[: stop - start]
+            np.matmul(features[start:stop], neg2_ct, out=d)
+            d += center_sq
+            own = d.argmin(axis=1)  # ties go to the lowest cluster id
+            assign[start:stop] = own
+            d_own[start:stop] = d[points[: stop - start], own]
         counts = np.bincount(assign, minlength=q)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            d_own = d[np.arange(npts), assign]
+            d_own += np.einsum("ij,ij->i", features, features)
             for e in empties:
                 # reseed with the farthest point whose cluster keeps a member
                 eligible = counts[assign] > 1
@@ -116,9 +152,9 @@ def _lloyd(features, centers, max_iters):
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        sums = np.zeros((q, features.shape[1]))
-        np.add.at(sums, assign, features)
-        centers = sums / counts[:, None]
+        # indicator matmul: each cluster's rows are summed in index order
+        members = sparse.csr_matrix((ones, (assign, points)), shape=(q, npts))
+        centers = (members @ features) / counts[:, None]
         # WCSS identity: sum ||x||^2 - sum_g n_g ||mean_g||^2
         history.append(sq_all - float((counts * (centers**2).sum(axis=1)).sum()))
     return assign, history[-1], history
@@ -129,6 +165,7 @@ def kmeans(features, config: ClusterConfig) -> Parcellation:
 
     Restarts run sequentially on the configured stream; the assignment with
     the lowest within-cluster sum of squares wins, first winner on ties.
+    The result's ``lloyd_restarts`` holds each restart's Lloyd health.
     """
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     if features.ndim != 2 or features.shape[0] < 1:
@@ -139,12 +176,17 @@ def kmeans(features, config: ClusterConfig) -> Parcellation:
         raise ValueError(f"q={config.q} exceeds the number of features {features.shape[0]}")
     rng = config.seed.generator()
     best_assign, best_inertia = None, np.inf
+    records = []
     for _ in range(config.restarts):
         centers = _kmeanspp(features, config.q, rng)
-        assign, inertia, _ = _lloyd(features, centers, config.max_lloyd_iters)
+        assign, inertia, history = _lloyd(features, centers, config.max_lloyd_iters)
+        # each pass that does not stop on an unchanged assignment appends
+        # one WCSS, so a full history means the cap cut the run short
+        records.append({"iterations": len(history), "wcss": inertia,
+                        "converged": len(history) < config.max_lloyd_iters})
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
-    return Parcellation(assignment=best_assign, q=config.q)
+    return Parcellation(assignment=best_assign, q=config.q, lloyd_restarts=tuple(records))
 
 
 def within_cluster_ss(features, parcellation: Parcellation) -> float:

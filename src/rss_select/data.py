@@ -116,10 +116,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Parcellation:
-    """Assignment of each feature to one of q clusters; every cluster non-empty."""
+    """Assignment of each feature to one of q clusters; every cluster non-empty.
+
+    ``lloyd_restarts`` records, for a parcellation that k-means produced, one
+    dict per restart: Lloyd center updates (``iterations``), final WCSS
+    (``wcss``) and whether the assignment stopped changing within the
+    iteration cap (``converged``). It is empty for a loaded parcellation.
+    """
 
     assignment: np.ndarray
     q: int
+    lloyd_restarts: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         assignment = np.ascontiguousarray(np.asarray(self.assignment, dtype=np.int64))

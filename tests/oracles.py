@@ -250,3 +250,77 @@ def welch_t_bruteforce(a, b):
     if va + vb == 0.0:
         return 0.0
     return float((a.mean() - b.mean()) / math.sqrt(va + vb))
+
+
+def kmeanspp_reference(features, q, rng):
+    npts = features.shape[0]
+    centers = np.empty((q, features.shape[1]))
+    centers[0] = features[rng.integers(npts)]
+    d2 = ((features - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, q):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(npts, p=d2 / total)
+        else:
+            idx = rng.integers(npts)  # all points coincide with a center
+        centers[j] = features[idx]
+        d2 = np.minimum(d2, ((features - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def lloyd_reference(features, centers, max_iters):
+    npts = features.shape[0]
+    q = centers.shape[0]
+    centers = centers.copy()
+    sq_all = float((features**2).sum())
+    prev = None
+    history = []
+    assign = np.zeros(npts, dtype=np.int64)
+    for _ in range(max_iters):
+        d = (
+            (features**2).sum(axis=1)[:, None]
+            - 2.0 * (features @ centers.T)
+            + (centers**2).sum(axis=1)[None, :]
+        )
+        assign = d.argmin(axis=1)  # ties go to the lowest cluster id
+        counts = np.bincount(assign, minlength=q)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            d_own = d[np.arange(npts), assign]
+            for e in empties:
+                # reseed with the farthest point whose cluster keeps a member
+                eligible = counts[assign] > 1
+                cand = np.where(eligible, d_own, -np.inf)
+                far = int(cand.argmax())
+                counts[assign[far]] -= 1
+                assign[far] = e
+                counts[e] = 1
+                centers[e] = features[far]
+                d_own[far] = 0.0
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+        sums = np.zeros((q, features.shape[1]))
+        np.add.at(sums, assign, features)
+        centers = sums / counts[:, None]
+        # WCSS identity: sum ||x||^2 - sum_g n_g ||mean_g||^2
+        history.append(sq_all - float((counts * (centers**2).sum(axis=1)).sum()))
+    return assign, history[-1], history
+
+
+def kmeans_reference(features, q, rng, restarts=1, max_iters=300):
+    """Best-of-restarts k-means with the plain kernels the package first shipped.
+
+    k-means++ recomputes every squared distance from scratch, Lloyd builds
+    the full distance matrix with the row-norm term and sums centroids with
+    ``np.add.at``. Draws from ``rng`` in the same order as the package.
+    Returns (assignment, inertia) of the first restart with the lowest WCSS.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    best_assign, best_inertia = None, np.inf
+    for _ in range(restarts):
+        centers = kmeanspp_reference(features, q, rng)
+        assign, inertia, _ = lloyd_reference(features, centers, max_iters)
+        if inertia < best_inertia:
+            best_assign, best_inertia = assign, inertia
+    return best_assign, best_inertia

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rss_select
 from rss_select.cli import main
 from rss_select.stability import load_scores_csv
 
@@ -70,10 +74,17 @@ def test_cluster_rerun_is_deterministic_and_warns_on_odd_q(workspace, tmp_path, 
         "--restarts", "2", "--out-dir", str(again),
     ]) == 0
     assert _sha(again / "parcellation.csv") == _sha(workspace["parcellation"])
+    assert _sha(again / "parcellation.json") == _sha(workspace["parcellation"].with_suffix(".json"))
     sidecar = json.loads((again / "parcellation.json").read_text())
     assert sidecar["q"] == 40
     assert sidecar["seed"] == 1
     assert sidecar["spatial_weight"] == 0.0
+    assert len(sidecar["lloyd"]) == 2  # one record per restart
+    for record in sidecar["lloyd"]:
+        assert sorted(record) == ["converged", "iterations", "wcss"]
+        assert 1 <= record["iterations"] <= 300
+        assert record["converged"] == (record["iterations"] < 300)
+    assert min(r["wcss"] for r in sidecar["lloyd"]) == pytest.approx(sidecar["inertia"], rel=1e-9)
     capsys.readouterr()
 
     # n=20 makes the suggested q range [40, 100]; q=5 is outside it
@@ -220,6 +231,16 @@ def test_version_flag_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_module_entry_point_runs():
+    src = Path(rss_select.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rss_select", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "rss" in proc.stdout
 
 
 def test_console_entry_point_is_installed():

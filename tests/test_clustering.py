@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rss_select.clustering import (
@@ -17,6 +19,7 @@ from rss_select.clustering import (
     within_cluster_ss,
 )
 from rss_select.data import Dataset, GridGeometry, Parcellation, RngStream
+from rss_select.synthgen import SynthConfig, generate_synthetic
 
 import oracles
 
@@ -154,6 +157,112 @@ def test_lloyd_repairs_empty_clusters():
     assert (np.bincount(assign, minlength=3) > 0).all()
     diffs = np.diff(history)
     assert (diffs <= 1e-9 * max(1.0, history[0])).all()
+
+
+@st.composite
+def _kmeans_instances(draw):
+    """Gaussian rows with some zero rows and repeated rows, and any q in [1, p]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    npts = draw(st.integers(1, 40))
+    features = rng.normal(size=(npts, draw(st.integers(1, 8))))
+    features[: draw(st.integers(0, npts))] = 0.0
+    repeats = draw(st.integers(0, npts - 1))
+    features[npts - repeats :] = features[rng.integers(npts - repeats, size=repeats)]
+    features = features[rng.permutation(npts)]
+    q = draw(st.integers(1, npts))
+    return features, q, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kmeans_instances())
+def test_kmeans_matches_reference_kernels(instance):
+    features, q, seed, restarts = instance
+    # seeding: same centers and same draws, so a row identical to a chosen
+    # center must get probability exactly 0, as the reference's exact
+    # differences give it
+    rng, want_rng = RngStream(seed, 0).generator(), RngStream(seed, 0).generator()
+    assert_array_equal(_kmeanspp(features, q, rng),
+                       oracles.kmeanspp_reference(features, q, want_rng))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    parc = kmeans(features, ClusterConfig(q=q, seed=RngStream(seed, 0), restarts=restarts))
+    want_assign, want_inertia = oracles.kmeans_reference(
+        features, q, RngStream(seed, 0).generator(), restarts=restarts
+    )
+    best = min(r["wcss"] for r in parc.lloyd_restarts)
+    assert_allclose(best, want_inertia, rtol=1e-12, atol=1e-12)
+    distinct, row_id = np.unique(features, axis=0, return_inverse=True)
+    if q <= distinct.shape[0]:
+        assert_array_equal(parc.assignment, want_assign)
+    else:
+        # every row already sits on a center, so every point the empty-cluster
+        # repair may move is at distance 0 and rounding noise picks one, in
+        # both versions; any such choice leaves pure clusters and WCSS 0
+        assert abs(want_inertia) <= 1e-12 * (1.0 + float((features**2).sum()))
+        for members in parc.members():
+            assert np.unique(row_id.ravel()[members]).size == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 5), st.integers(1, 8))
+def test_lloyd_repair_matches_reference_with_far_center(seed, npts, dim, q):
+    """A center far from every point starts empty and forces the repair."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(npts, dim))
+    q = min(q, npts - 1)
+    centers = np.vstack([features[rng.choice(npts, q, replace=False)], np.full(dim, 1e3)])
+    assign, inertia, history = _lloyd(features, centers, 100)
+    want_assign, want_inertia, want_history = oracles.lloyd_reference(features, centers, 100)
+    assert_array_equal(assign, want_assign)
+    assert len(history) == len(want_history)
+    assert_allclose(history, want_history, rtol=1e-12, atol=1e-12)
+    assert_allclose(inertia, want_inertia, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.integers(1, 5), st.integers(1, 3))
+def test_kmeans_tripled_rows_give_one_triple_per_cluster(seed, distinct, dim, restarts):
+    """Rows identical to a chosen center must never be drawn again, so with q
+    equal to the number of distinct rows every cluster is one triple."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(distinct, dim))
+    order = rng.permutation(3 * distinct)
+    features = np.repeat(rows, 3, axis=0)[order]
+    parc = kmeans(features, ClusterConfig(q=distinct, seed=RngStream(seed, 1), restarts=restarts))
+    source = (np.arange(3 * distinct) // 3)[order]
+    for members in parc.members():
+        assert members.size == 3
+        assert np.unique(source[members]).size == 1
+
+
+def test_kmeans_matches_reference_at_full_scale():
+    dataset, _ = generate_synthetic(SynthConfig(seed=0))
+    features = build_feature_vectors(dataset)
+    config = ClusterConfig(q=200, seed=RngStream(1000, 0), restarts=1, max_lloyd_iters=15)
+    parc = kmeans(features, config)
+    want_assign, want_inertia = oracles.kmeans_reference(
+        features, 200, config.seed.generator(), restarts=1, max_iters=15
+    )
+    assert_array_equal(parc.assignment, want_assign)
+    (record,) = parc.lloyd_restarts
+    assert_allclose(record["wcss"], want_inertia, rtol=1e-12)
+    assert record["iterations"] == 15 and not record["converged"]
+
+
+def test_kmeans_records_lloyd_health_per_restart():
+    rng = np.random.default_rng(12)
+    features = rng.normal(size=(60, 3))
+    parc = kmeans(features, ClusterConfig(q=4, seed=RngStream(2, 0), restarts=3))
+    assert len(parc.lloyd_restarts) == 3
+    for record in parc.lloyd_restarts:
+        assert record["converged"] and 1 <= record["iterations"] < 300
+    assert_allclose(min(r["wcss"] for r in parc.lloyd_restarts),
+                    within_cluster_ss(features, parc), rtol=1e-9)
+
+    capped = kmeans(features, ClusterConfig(q=4, seed=RngStream(2, 0), restarts=3,
+                                            max_lloyd_iters=1))
+    assert [r["iterations"] for r in capped.lloyd_restarts] == [1, 1, 1]
+    assert not any(r["converged"] for r in capped.lloyd_restarts)
 
 
 def test_within_cluster_ss_matches_lloyd_inertia():
