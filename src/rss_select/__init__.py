@@ -48,7 +48,6 @@ from .stability import (
     StabilityConfig,
     average_supervoxels,
     cluster_quotas,
-    constrained_block_subsample,
     load_scores_csv,
     run_stability_selection,
     save_scores_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "average_supervoxels",
     "build_feature_vectors",
     "cluster_quotas",
-    "constrained_block_subsample",
     "cv_threshold",
     "derive_stream",
     "fit_l1_logistic",

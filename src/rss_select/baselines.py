@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, StabilityScores, derive_stream
+from .data import Dataset, StabilityScores
 from .solver import SolverConfig, fit_l1_logistic, fit_l2_logistic
-from .stability import _resample_counts, draw_row_subsample
+from .stability import draw_row_subsample, resample
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,17 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     Iteration k (stream k of the master seed) draws rows, then one penalty
     multiplier per column uniform on [weakness, 1], applied to standardized
     columns; with weakness=1 the reweighting degenerates to row subsampling
-    alone. Aborts like the stability engine when too many fits fail.
+    alone. Runs on the stability selector's ``resample`` loop, so it aborts
+    the same way when too many fits fail, and the thread count never changes
+    the result.
     """
-    if threads < 1:
-        raise ValueError("threads must be positive")
     X, y = dataset.X, dataset.y
     eps = config.solver.support_epsilon
 
-    def one_iteration(k):
-        gen = derive_stream(config.master_seed, k).generator()
+    def iteration(gen):
         rows = draw_row_subsample(dataset.n, config.row_fraction, gen)
         scale = gen.uniform(config.weakness, 1.0, size=dataset.p)
         sol = fit_l1_logistic(X[rows], y[rows], config.solver, column_scale=scale)
-        return sol.support(eps), sol.converged, sol.kkt_residual
+        return sol.support(eps), sol
 
-    counts = _resample_counts(dataset.p, config.K, one_iteration, threads)
-    return StabilityScores(counts=counts, K=config.K)
+    return resample(dataset.p, config.K, config.master_seed, iteration, threads)

@@ -63,6 +63,11 @@ def build_feature_vectors(dataset: Dataset, spatial_weight: float = 0.0) -> np.n
     return vectors
 
 
+def _near_tol(dim):
+    """Relative bound on the rounding error of |x|^2 - 2 x.c + |c|^2 when x == c."""
+    return 4.0 * (dim + 2) * np.finfo(np.float64).eps
+
+
 def _kmeanspp(features, q, rng):
     """k-means++ starts (Arthur & Vassilvitskii, SODA 2007).
 
@@ -72,8 +77,7 @@ def _kmeanspp(features, q, rng):
     """
     npts, dim = features.shape
     row_sq = np.einsum("ij,ij->i", features, features)
-    # bound on the rounding error of row_sq - 2 x.c + |c|^2 when x == c
-    near_tol = 4.0 * (dim + 2) * np.finfo(np.float64).eps
+    near_tol = _near_tol(dim)
     centers = np.empty((q, dim))
     d2 = np.full(npts, np.inf)
     dist = np.empty(npts)
@@ -138,7 +142,13 @@ def _lloyd(features, centers, max_iters):
         counts = np.bincount(assign, minlength=q)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            d_own += np.einsum("ij,ij->i", features, features)
+            row_sq = np.einsum("ij,ij->i", features, features)
+            d_own += row_sq
+            # a row within rounding of its own center gets exactly 0, so when
+            # every eligible row sits on its center the lowest index moves,
+            # whatever the sign of the rounding noise
+            near_tol = _near_tol(features.shape[1])
+            d_own[d_own <= near_tol * (row_sq + center_sq[assign])] = 0.0
             for e in empties:
                 # reseed with the farthest point whose cluster keeps a member
                 eligible = counts[assign] > 1

@@ -6,8 +6,10 @@ trimming), averages each cluster's picked features into one column, fits the
 L1 logistic solver on the averaged matrix, and credits every picked feature
 of every selected cluster. Scores are selection counts out of K.
 
-Iteration k always uses the random stream derived from (master_seed, k), so
-results are independent of thread count and iteration order.
+``resample`` is the loop this selector shares with the randomized L1
+baseline: iteration k always uses the random stream derived from
+(master_seed, k), so results are independent of thread count and iteration
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, GridGeometry, Parcellation, RngStream, StabilityScores, derive_stream
+from .data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
 from .solver import SolverConfig, fit_l1_logistic
 
 # loss weight giving useful sparsity on cluster-averaged fits at the default
@@ -67,15 +69,7 @@ def round_nearest(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-def draw_row_subsample(n: int, alpha: float, rng) -> np.ndarray:
+def draw_row_subsample(n: int, alpha: float, gen: np.random.Generator) -> np.ndarray:
     """Sorted indices of round_nearest(alpha*n) rows drawn without replacement."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -84,7 +78,6 @@ def draw_row_subsample(n: int, alpha: float, rng) -> np.ndarray:
     k = round_nearest(alpha * n)
     if k == 0:
         raise ValueError(f"alpha={alpha} selects zero of {n} rows")
-    gen = _as_generator(rng)
     return np.sort(gen.choice(n, size=min(k, n), replace=False))
 
 
@@ -142,7 +135,7 @@ class BlockCover:
     def voxels_of(self, anchor_index: int) -> np.ndarray:
         return self.features[self.starts[anchor_index] : self.starts[anchor_index + 1]]
 
-    def draw(self, rng, parcellation: Parcellation, quotas: np.ndarray,
+    def draw(self, gen: np.random.Generator, parcellation: Parcellation, quotas: np.ndarray,
              members: list[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
         """Accumulate random blocks until every cluster quota is met, then trim.
 
@@ -150,7 +143,6 @@ class BlockCover:
         cluster, cluster ids ascending, so each cluster returns exactly its
         quota, sorted.
         """
-        gen = _as_generator(rng)
         assignment = parcellation.assignment
         if members is None:
             members = parcellation.members()
@@ -183,19 +175,6 @@ class BlockCover:
         return tuple(out)
 
 
-def constrained_block_subsample(geometry: GridGeometry, parcellation: Parcellation,
-                                beta: float, block_shape, rng) -> tuple[np.ndarray, ...]:
-    """One spatial feature subsample: per-cluster quotas met by random blocks.
-
-    Returns one sorted index array per cluster, sizes exactly
-    max(1, round_nearest(beta * cluster size)).
-    """
-    if geometry.p != parcellation.p:
-        raise ValueError("geometry and parcellation disagree on feature count")
-    cover = BlockCover(geometry, block_shape)
-    return cover.draw(rng, parcellation, cluster_quotas(parcellation, beta))
-
-
 def _stratified_subsample(members, quotas, gen) -> tuple[np.ndarray, ...]:
     # no-geometry fallback: uniform per-cluster draws, cluster ids ascending
     out = []
@@ -218,33 +197,46 @@ def average_supervoxels(X, picked, parcellation: Parcellation | None = None) -> 
     return out
 
 
-def draw_iteration(dataset: Dataset, parcellation: Parcellation, config: StabilityConfig,
-                   k: int, cover: BlockCover | None = None) -> SubsampleDraw:
-    """Replay the random draws of iteration k (rows first, then features)."""
-    gen = derive_stream(config.master_seed, k).generator()
-    rows = draw_row_subsample(dataset.n, config.alpha, gen)
-    quotas = cluster_quotas(parcellation, config.beta)
-    members = parcellation.members()
-    if dataset.geometry is not None:
-        if cover is None:
-            cover = BlockCover(dataset.geometry, config.block_shape)
+def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation: Parcellation,
+                   quotas: np.ndarray, members: list[np.ndarray],
+                   cover: BlockCover | None = None) -> SubsampleDraw:
+    """The random draws of one iteration: rows first, then per-cluster
+    features (random blocks over the cover, or plain stratified draws when
+    there is no cover)."""
+    rows = draw_row_subsample(n, alpha, gen)
+    if cover is not None:
         picked = cover.draw(gen, parcellation, quotas, members)
     else:
         picked = _stratified_subsample(members, quotas, gen)
     return SubsampleDraw(rows=rows, picked=picked)
 
 
-def _resample_counts(p, K, one_iteration, threads):
-    """Run K iterations (thread pool when threads > 1) and sum selections.
+def resample(p: int, K: int, master_seed: int, iteration, threads: int = 1) -> StabilityScores:
+    """Run K resampled fits and count how often each feature is selected.
 
-    one_iteration(k) -> (selected feature indices, converged, kkt residual).
-    Aborts when more than _MAX_FAILURE_FRACTION of fits fail to converge.
+    Iteration k calls ``iteration(gen)`` with the generator of
+    ``derive_stream(master_seed, k)``; it returns (selected feature indices,
+    SolverSolution of its fit). Aborts when more than _MAX_FAILURE_FRACTION
+    of the fits fail to converge.
+
+    ``threads > 1`` runs the iterations on a thread pool. Every iteration
+    owns its stream, so the counts never depend on the thread count. On a
+    2-vCPU machine with OpenBLAS, 2 threads gave no speed-up over 1 for
+    either selector at full scale.
     """
+    if threads < 1:
+        raise ValueError("threads must be positive")
+
+    def one(k):
+        selected, sol = iteration(derive_stream(master_seed, k).generator())
+        # keep no weight vector: K of them would hold K*p floats at once
+        return selected, sol.converged, sol.kkt_residual
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_iteration, range(K)))
+            results = list(pool.map(one, range(K)))
     else:
-        results = [one_iteration(k) for k in range(K)]
+        results = [one(k) for k in range(K)]
     counts = np.zeros(p, dtype=np.int64)
     failures = []
     for k, (selected, converged, kkt) in enumerate(results):
@@ -259,20 +251,19 @@ def _resample_counts(p, K, one_iteration, threads):
             f"(limit {_MAX_FAILURE_FRACTION:.0%}); first failure at iteration {k0} "
             f"with optimality residual {kkt0:.3e}"
         )
-    return counts
+    return StabilityScores(counts=counts, K=K)
 
 
 def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
                             config: StabilityConfig, threads: int = 1) -> StabilityScores:
     """Full stability selection pass; scores are selection counts out of K.
 
-    Thread count never changes the result. Without grid geometry the spatial
-    step degrades to plain stratified sampling (a warning is emitted).
+    The thread count never changes the result (see ``resample``). Without
+    grid geometry the spatial step degrades to plain stratified sampling (a
+    warning is emitted).
     """
     if parcellation.p != dataset.p:
         raise ValueError("parcellation and dataset disagree on feature count")
-    if threads < 1:
-        raise ValueError("threads must be positive")
     cover = None
     if dataset.geometry is not None:
         cover = BlockCover(dataset.geometry, config.block_shape)
@@ -286,24 +277,16 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
     X, y = dataset.X, dataset.y
     eps = config.solver.support_epsilon
 
-    def one_iteration(k):
-        gen = derive_stream(config.master_seed, k).generator()
-        rows = draw_row_subsample(dataset.n, config.alpha, gen)
-        if cover is not None:
-            picked = cover.draw(gen, parcellation, quotas, members)
-        else:
-            picked = _stratified_subsample(members, quotas, gen)
-        averaged = average_supervoxels(X[rows], picked)
-        sol = fit_l1_logistic(averaged, y[rows], config.solver)
-        chosen = np.flatnonzero(np.abs(sol.w) > eps)
-        if chosen.size:
-            selected = np.concatenate([picked[g] for g in chosen])
-        else:
-            selected = np.zeros(0, dtype=np.int64)
-        return selected, sol.converged, sol.kkt_residual
+    def iteration(gen):
+        draw = draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, members, cover)
+        averaged = average_supervoxels(X[draw.rows], draw.picked)
+        sol = fit_l1_logistic(averaged, y[draw.rows], config.solver)
+        # credit every picked feature of every selected cluster
+        chosen = [draw.picked[g] for g in sol.support(eps)]
+        selected = np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
+        return selected, sol
 
-    counts = _resample_counts(dataset.p, config.K, one_iteration, threads)
-    return StabilityScores(counts=counts, K=config.K)
+    return resample(dataset.p, config.K, config.master_seed, iteration, threads)
 
 
 def threshold_scores(scores: StabilityScores, tau: float) -> np.ndarray:

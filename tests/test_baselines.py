@@ -210,6 +210,14 @@ def test_randomized_l1_thread_count_is_invisible():
     )
 
 
+def test_randomized_l1_widespread_non_convergence_aborts():
+    rng = np.random.default_rng(15)
+    ds = _dataset(rng.normal(size=(20, 12)))
+    strangled = SolverConfig(loss_weight=0.5, max_iters=1, tol_kkt=1e-12)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        randomized_l1(ds, RandL1Config(solver=strangled, K=10, master_seed=4))
+
+
 def test_rand_l1_config_validation():
     solver = SolverConfig(loss_weight=0.5)
     with pytest.raises(ValueError, match="K"):

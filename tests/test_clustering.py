@@ -159,6 +159,25 @@ def test_lloyd_repairs_empty_clusters():
     assert (diffs <= 1e-9 * max(1.0, history[0])).all()
 
 
+def test_lloyd_repair_moves_lowest_index_when_every_row_sits_on_a_center():
+    """Six rows with two distinct values and q=3: the third center repeats
+    the first, so its cluster starts empty while every row is at distance 0
+    from its center. The repair must move the lowest eligible row, not the
+    one rounding noise ranks highest, and leave pure clusters. Forty random
+    value pairs; the noise picked another row for about a quarter of them."""
+    for seed in range(40):
+        v, w = np.random.default_rng(seed).normal(size=(2, 3))
+        features = np.array([v, v, v, w, w, w])
+        centers = np.array([v, w, v])
+        first, _, _ = _lloyd(features, centers, 1)
+        assign, _, _ = _lloyd(features, centers, 50)
+        assert_array_equal(first, [2, 0, 0, 1, 1, 1], err_msg=f"seed {seed}")
+        assert_array_equal(assign, [2, 0, 0, 1, 1, 1], err_msg=f"seed {seed}")
+        for g in range(3):
+            rows = features[assign == g]
+            assert ((rows - rows[0]) ** 2).sum() == 0.0  # WCSS exactly 0
+
+
 @st.composite
 def _kmeans_instances(draw):
     """Gaussian rows with some zero rows and repeated rows, and any q in [1, p]."""

@@ -1,19 +1,26 @@
 """Resampling engine tests: row draws, block subsampling, score accumulation."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from rss_select.data import Dataset, GridGeometry, Parcellation, RngStream, StabilityScores
-from rss_select.solver import SolverConfig
+from rss_select.data import (
+    Dataset,
+    GridGeometry,
+    Parcellation,
+    RngStream,
+    StabilityScores,
+    derive_stream,
+)
+from rss_select.solver import SolverConfig, fit_l1_logistic
 from rss_select.stability import (
     BlockCover,
     StabilityConfig,
     average_supervoxels,
     cluster_quotas,
-    constrained_block_subsample,
     draw_iteration,
     draw_row_subsample,
     load_scores_csv,
@@ -49,12 +56,12 @@ def test_round_nearest_halves_go_up():
 
 
 def test_row_subsample_alpha_one_returns_every_row():
-    rows = draw_row_subsample(7, 1.0, RngStream(0, 0))
+    rows = draw_row_subsample(7, 1.0, RngStream(0, 0).generator())
     assert_array_equal(rows, np.arange(7))
 
 
 def test_row_subsample_half_of_hundred():
-    rows = draw_row_subsample(100, 0.5, RngStream(1, 0))
+    rows = draw_row_subsample(100, 0.5, RngStream(1, 0).generator())
     assert rows.size == 50
     assert np.unique(rows).size == 50
     assert rows.min() >= 0 and rows.max() < 100
@@ -74,11 +81,11 @@ def test_row_subsample_frequencies_are_uniform():
 
 def test_row_subsample_rejects_empty_draws():
     with pytest.raises(ValueError, match="zero"):
-        draw_row_subsample(10, 0.04, RngStream(0, 0))
+        draw_row_subsample(10, 0.04, RngStream(0, 0).generator())
     with pytest.raises(ValueError, match="alpha"):
-        draw_row_subsample(10, 0.0, RngStream(0, 0))
+        draw_row_subsample(10, 0.0, RngStream(0, 0).generator())
     with pytest.raises(ValueError, match="n must be positive"):
-        draw_row_subsample(0, 0.5, RngStream(0, 0))
+        draw_row_subsample(0, 0.5, RngStream(0, 0).generator())
 
 
 def test_cluster_quotas_floor_and_rounding():
@@ -110,7 +117,8 @@ def test_block_cover_covers_each_masked_voxel_uniformly():
 def test_block_subsample_beta_one_picks_everything():
     geometry = _full_grid_geometry((8, 8, 1))
     parc = _quadrant_parcellation(geometry)
-    picked = constrained_block_subsample(geometry, parc, 1.0, (2, 2, 1), RngStream(4, 0))
+    quotas = cluster_quotas(parc, 1.0)
+    picked = BlockCover(geometry, (2, 2, 1)).draw(RngStream(4, 0).generator(), parc, quotas)
     members = parc.members()
     assert len(picked) == 4
     for g in range(4):
@@ -121,7 +129,8 @@ def test_block_subsample_small_cluster_quota_is_one():
     # cluster of size 10 at beta=0.1 yields exactly one voxel
     geometry = _full_grid_geometry((10, 1, 1))
     parc = Parcellation(assignment=np.zeros(10, dtype=np.int64), q=1)
-    picked = constrained_block_subsample(geometry, parc, 0.1, (3, 1, 1), RngStream(5, 0))
+    quotas = cluster_quotas(parc, 0.1)
+    picked = BlockCover(geometry, (3, 1, 1)).draw(RngStream(5, 0).generator(), parc, quotas)
     assert len(picked) == 1
     assert picked[0].size == 1
 
@@ -137,7 +146,7 @@ def test_block_subsample_quota_exactness_on_random_parcellations():
         parc = Parcellation(assignment=assignment.astype(np.int64), q=q)
         beta = float(rng.uniform(0.05, 0.6))
         quotas = cluster_quotas(parc, beta)
-        picked = constrained_block_subsample(geometry, parc, beta, (3, 3, 2), gen)
+        picked = BlockCover(geometry, (3, 3, 2)).draw(gen, parc, quotas)
         members = parc.members()
         for g in range(q):
             assert picked[g].size == quotas[g]
@@ -148,8 +157,9 @@ def test_block_subsample_quota_exactness_on_random_parcellations():
 def test_block_subsample_deterministic_for_stream():
     geometry = _full_grid_geometry((8, 8, 1))
     parc = _quadrant_parcellation(geometry)
-    a = constrained_block_subsample(geometry, parc, 0.25, (2, 2, 1), RngStream(8, 3))
-    b = constrained_block_subsample(geometry, parc, 0.25, (2, 2, 1), RngStream(8, 3))
+    quotas = cluster_quotas(parc, 0.25)
+    a = BlockCover(geometry, (2, 2, 1)).draw(RngStream(8, 3).generator(), parc, quotas)
+    b = BlockCover(geometry, (2, 2, 1)).draw(RngStream(8, 3).generator(), parc, quotas)
     for pa, pb in zip(a, b):
         assert_array_equal(pa, pb)
 
@@ -295,14 +305,49 @@ def test_draw_iteration_replays_deterministically():
     parc = _slab_parcellation(ds.p, 4)
     config = StabilityConfig(solver=DEFAULT_SOLVER, K=5, master_seed=11, block_shape=(2, 2, 1))
     quotas = cluster_quotas(parc, config.beta)
+    cover = BlockCover(ds.geometry, config.block_shape)
     for k in range(3):
-        a = draw_iteration(ds, parc, config, k)
-        b = draw_iteration(ds, parc, config, k)
+        a, b = (draw_iteration(derive_stream(config.master_seed, k).generator(), ds.n,
+                               config.alpha, parc, quotas, parc.members(), cover)
+                for _ in range(2))
         assert_array_equal(a.rows, b.rows)
         assert a.rows.size == round_nearest(config.alpha * ds.n)
         for g, (pa, pb) in enumerate(zip(a.picked, b.picked)):
             assert_array_equal(pa, pb)
             assert pa.size == quotas[g]
+
+
+def _rss_manual_counts(ds, parc, config):
+    """Re-derive rss counts from draw_iteration, one stream per iteration."""
+    cover = BlockCover(ds.geometry, config.block_shape) if ds.geometry is not None else None
+    quotas = cluster_quotas(parc, config.beta)
+    counts = np.zeros(ds.p, dtype=np.int64)
+    for k in range(config.K):
+        gen = derive_stream(config.master_seed, k).generator()
+        draw = draw_iteration(gen, ds.n, config.alpha, parc, quotas, parc.members(), cover)
+        averaged = average_supervoxels(ds.X[draw.rows], draw.picked)
+        sol = fit_l1_logistic(averaged, ds.y[draw.rows], config.solver)
+        for g in sol.support(config.solver.support_epsilon):
+            counts[draw.picked[g]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("geometry", [True, False])
+def test_selection_replays_from_draw_iteration(geometry):
+    ds = _noise_dataset(seed=8, n=24, dims=(6, 6, 2))
+    y = ds.y
+    X = ds.X.copy()
+    X[:, :12] += 0.8 * y[:, None]  # give the fits something to select
+    ds = Dataset(X=X, y=y, geometry=ds.geometry if geometry else None)
+    parc = _slab_parcellation(ds.p, 6)
+    config = StabilityConfig(solver=DEFAULT_SOLVER, K=12, beta=0.3, master_seed=13,
+                             block_shape=(2, 2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the no-geometry fallback warns
+        scores = run_stability_selection(ds, parc, config)
+    want = _rss_manual_counts(ds, parc, config)
+    assert want.sum() > 0
+    assert_array_equal(scores.counts, want)
 
 
 def test_missing_geometry_falls_back_with_warning():
