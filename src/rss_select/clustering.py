@@ -110,7 +110,7 @@ def _lloyd(features, centers, max_iters):
     """Lloyd iterations with deterministic empty-cluster repair.
 
     Returns (assignment, inertia, history); history holds the WCSS after
-    each center update and is non-increasing.
+    each center update, clamped at 0, and is non-increasing.
     """
     # imported here, not at module level, so CLI start-up does not pay for it
     from scipy import sparse
@@ -165,8 +165,9 @@ def _lloyd(features, centers, max_iters):
         # indicator matmul: each cluster's rows are summed in index order
         members = sparse.csr_matrix((ones, (assign, points)), shape=(q, npts))
         centers = (members @ features) / counts[:, None]
-        # WCSS identity: sum ||x||^2 - sum_g n_g ||mean_g||^2
-        history.append(sq_all - float((counts * (centers**2).sum(axis=1)).sum()))
+        # WCSS identity: sum ||x||^2 - sum_g n_g ||mean_g||^2, which cancels
+        # to rounding noise on pure clusters; a WCSS is never negative
+        history.append(max(0.0, sq_all - float((counts * (centers**2).sum(axis=1)).sum())))
     return assign, history[-1], history
 
 

@@ -10,7 +10,10 @@ the standardized basis; constant columns get weight exactly zero.
 
 For wide problems the L1 path switches to a working-set strategy: solve on a
 small active set, then screen the full gradient for violators until the
-optimality conditions hold over all columns.
+optimality conditions hold over all columns. Wide fits standardize
+implicitly: the screen folds mean, std and column scale into one product
+with X, and only the active columns are ever standardized, so the weights
+are still reported in the standardized basis.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .data import SolverSolution
 # above this column count fit_l1_logistic screens columns instead of
 # running proximal gradient on the full matrix
 _WORKING_SET_MIN_COLS = 1024
-_SCREEN_BATCH = 512
+# a wide column whose |mean| exceeds this many stds is screened from its
+# built standardized copy instead of implicitly (see _ImplicitColumns)
+_CANCEL_RATIO = 1e4
 _MAX_OUTER = 100
 _MIN_STEP = 1e-18
 _STALL_LIMIT = 10
@@ -295,30 +300,71 @@ def _prox_solve(Z, y, loss_weight, l1, ridge, w0, c0, max_iters, tol_kkt,
     return w, c, F, kkt, converged, it, history
 
 
-def _fit_l1_working_set(Z, y, cfg):
+class _ImplicitColumns:
+    """Standardized, scaled columns ``Z = ((X - mean) / std) * scale`` of a
+    wide X, built only where they are needed.
+
+    :meth:`columns` builds chosen columns of Z with the same arithmetic as
+    :func:`standardize_columns`. :meth:`gradient` returns ``Z'g`` from
+    ``(scale / std) * (X'g - mean * sum(g))`` without forming Z; constant
+    columns get 0. Rounding in ``X'g`` grows like ``eps * n * |mean| / std``,
+    so the few columns whose mean exceeds ``_CANCEL_RATIO`` times their std
+    (a constant column whose std rounds to a tiny positive value among
+    them) are kept as built columns and multiplied directly.
+    """
+
+    def __init__(self, X, scale):
+        self.X = X
+        self.scale = scale
+        self.mean = X.mean(axis=0)
+        self.std = X.std(axis=0)
+        keep = self.std > 0.0
+        self.gain = np.zeros(X.shape[1])
+        self.gain[keep] = scale[keep] / self.std[keep]
+        self.exact = np.flatnonzero(keep & (np.abs(self.mean) > _CANCEL_RATIO * self.std))
+        self.Z_exact = self.columns(self.exact)
+
+    def columns(self, idx):
+        return ((self.X[:, idx] - self.mean[idx]) / self.std[idx]) * self.scale[idx]
+
+    def gradient(self, gvec):
+        out = self.gain * (self.X.T @ gvec - self.mean * float(gvec.sum()))
+        out[self.exact] = self.Z_exact.T @ gvec
+        return out
+
+
+def _fit_l1_working_set(X, y, cfg, scale):
     """GLMNET-style outer loop: grow an active set from KKT screening.
 
+    Columns are standardized implicitly (:class:`_ImplicitColumns`): the
+    full gradient is screened without forming Z, and only the active columns
+    are built. Constant columns get gradient 0, so they never enter the set
+    and keep weight exactly 0.
+
     Each round solves the restricted problem warm-started, then checks the
-    full gradient; columns whose optimality residual exceeds tol join the set.
-    Terminates when the full problem passes the KKT check or the iteration
-    budget runs out.
+    full gradient; the worst violators join the set, at most n in the first
+    round (an L1 solution in general position has at most n nonzeros) and
+    twice as many each round after. Terminates when the full problem passes
+    the KKT check or the iteration budget runs out.
     """
-    n, m = Z.shape
+    n, m = X.shape
+    Z = _ImplicitColumns(X, scale)
     w = np.zeros(m)
     c = _initial_intercept(y)
     # settle the intercept first so screening sees meaningful gradients
     _, c, _, _, _, it0, _ = _prox_solve(
-        Z[:, :0], y, cfg.loss_weight, True, 0.0, np.zeros(0), c,
+        np.zeros((n, 0)), y, cfg.loss_weight, True, 0.0, np.zeros(0), c,
         cfg.max_iters, cfg.tol_kkt, cfg.tol_objective, cfg.support_epsilon)
     iters_total = it0
     active = np.zeros(0, dtype=np.int64)
     mw = np.zeros(n)
     kkt = math.inf
     converged = False
+    batch = n
     for _ in range(_MAX_OUTER):
         margins = y * (mw + c)
         gvec = -(y * expit(-margins))
-        gw = cfg.loss_weight * (Z.T @ gvec)
+        gw = cfg.loss_weight * Z.gradient(gvec)
         gc = cfg.loss_weight * float(gvec.sum())
         viol = _l1_violation(gw, w, cfg.support_epsilon)
         kkt = max(float(viol.max()), abs(gc))
@@ -330,21 +376,21 @@ def _fit_l1_working_set(Z, y, cfg):
         outside = viol.copy()
         outside[active] = 0.0
         candidates = np.flatnonzero(outside > cfg.tol_kkt)
-        if candidates.size > _SCREEN_BATCH:
-            top = np.argpartition(outside[candidates], -_SCREEN_BATCH)[-_SCREEN_BATCH:]
+        if candidates.size > batch:
+            top = np.argpartition(outside[candidates], -batch)[-batch:]
             candidates = candidates[top]
+        batch *= 2
         if candidates.size:
             active = np.union1d(active, candidates)
-        elif converged:
-            break
+        Za = Z.columns(active)
         wa, c, _, _, _, it_inner, _ = _prox_solve(
-            Z[:, active], y, cfg.loss_weight, True, 0.0, w[active], c,
+            Za, y, cfg.loss_weight, True, 0.0, w[active], c,
             max(cfg.max_iters - iters_total, 1), 0.5 * cfg.tol_kkt,
             cfg.tol_objective, cfg.support_epsilon)
         iters_total += it_inner
         w[:] = 0.0
         w[active] = wa
-        mw = Z[:, active] @ wa
+        mw = Za @ wa
     objective = cfg.loss_weight * float(np.logaddexp(0.0, -(y * (mw + c))).sum())
     objective += float(np.abs(w).sum())
     return w, c, objective, kkt, converged, iters_total
@@ -356,7 +402,9 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
     Parameters
     ----------
     X : ndarray of shape (n, m)
-        Sample matrix; standardized internally.
+        Sample matrix; standardized internally. Wide matrices (at least
+        1024 columns) are standardized implicitly: only the columns that
+        enter the working set are ever materialized.
     y : ndarray of shape (n,)
         Labels in {+1, -1}.
     config : SolverConfig
@@ -369,30 +417,32 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
     Returns
     -------
     SolverSolution
-        Weights in the standardized basis (constant columns get exactly 0),
-        intercept, objective value, optimality residual, and a convergence
-        flag; non-convergence returns the best iterate flagged, it does not
-        raise.
+        Weights in the standardized basis on both paths (constant columns
+        get exactly 0), intercept, objective value, optimality residual, and
+        a convergence flag; non-convergence returns the best iterate flagged,
+        it does not raise.
     """
     X, y = _validate_problem(X, y)
-    Z, _, _, keep = standardize_columns(X)
+    m = X.shape[1]
     if column_scale is not None:
         column_scale = np.asarray(column_scale, dtype=np.float64)
-        if column_scale.shape != (X.shape[1],):
-            raise ValueError(f"column_scale must have shape ({X.shape[1]},)")
+        if column_scale.shape != (m,):
+            raise ValueError(f"column_scale must have shape ({m},)")
         if not np.isfinite(column_scale).all() or (column_scale <= 0).any():
             raise ValueError("column_scale entries must be positive and finite")
-        Z = Z * column_scale[keep]
-    m = Z.shape[1]
-    c0 = _initial_intercept(y)
     if m >= _WORKING_SET_MIN_COLS:
-        w_kept, c, obj, kkt, conv, iters = _fit_l1_working_set(Z, y, config)
-    else:
-        w_kept, c, obj, kkt, conv, iters, _ = _prox_solve(
-            Z, y, config.loss_weight, True, 0.0, np.zeros(m), c0,
-            config.max_iters, config.tol_kkt, config.tol_objective,
-            config.support_epsilon)
-    w = np.zeros(X.shape[1])
+        scale = np.ones(m) if column_scale is None else column_scale
+        w, c, obj, kkt, conv, iters = _fit_l1_working_set(X, y, config, scale)
+        return SolverSolution(w=w, c=c, objective=obj, kkt_residual=kkt,
+                              converged=conv, n_iters=iters)
+    Z, _, _, keep = standardize_columns(X)
+    if column_scale is not None:
+        Z = Z * column_scale[keep]
+    w_kept, c, obj, kkt, conv, iters, _ = _prox_solve(
+        Z, y, config.loss_weight, True, 0.0, np.zeros(Z.shape[1]),
+        _initial_intercept(y), config.max_iters, config.tol_kkt,
+        config.tol_objective, config.support_epsilon)
+    w = np.zeros(m)
     w[keep] = w_kept
     return SolverSolution(w=w, c=c, objective=obj, kkt_residual=kkt,
                           converged=conv, n_iters=iters)

@@ -99,6 +99,80 @@ def l1_dense_grid_1d(x_col, y, loss_weight, span=20.0, resolution=1e-5):
     return float(grid[np.argmin(total)])
 
 
+def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
+    """The wide L1 fit as first shipped: build the whole standardized, scaled
+    matrix Z, then grow a working set from KKT screening of ``Z'g``, adding at
+    most 512 violators per round.
+
+    ``prox_solve`` is the package's restricted solver, passed in so this file
+    still imports nothing from the package: the reference pins down the
+    explicit standardization and the screening, while the restricted solver
+    has its own oracles above. Returns ``(w, c, objective, kkt, converged,
+    iters)`` with ``w`` over all columns of X.
+    """
+    from scipy.special import expit
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    keep = std > 0.0
+    Z = (X[:, keep] - mean[keep]) / std[keep]
+    if column_scale is not None:
+        Z = Z * np.asarray(column_scale, dtype=np.float64)[keep]
+
+    def l1_violation(gw, w, eps):
+        at_zero = np.abs(w) <= eps
+        return np.where(at_zero, np.maximum(np.abs(gw) - 1.0, 0.0), np.abs(gw + np.sign(w)))
+
+    n_pos = int((y > 0).sum())
+    n_neg = y.size - n_pos
+    c = math.log(n_pos / n_neg) if n_pos and n_neg else 0.0
+    n, m = Z.shape
+    w = np.zeros(m)
+    _, c, _, _, _, it0, _ = prox_solve(
+        Z[:, :0], y, cfg.loss_weight, True, 0.0, np.zeros(0), c,
+        cfg.max_iters, cfg.tol_kkt, cfg.tol_objective, cfg.support_epsilon)
+    iters_total = it0
+    active = np.zeros(0, dtype=np.int64)
+    mw = np.zeros(n)
+    kkt = math.inf
+    converged = False
+    for _ in range(100):
+        margins = y * (mw + c)
+        gvec = -(y * expit(-margins))
+        gw = cfg.loss_weight * (Z.T @ gvec)
+        gc = cfg.loss_weight * float(gvec.sum())
+        viol = l1_violation(gw, w, cfg.support_epsilon)
+        kkt = max(float(viol.max()), abs(gc))
+        if kkt <= cfg.tol_kkt:
+            converged = True
+            break
+        if iters_total >= cfg.max_iters:
+            break
+        outside = viol.copy()
+        outside[active] = 0.0
+        candidates = np.flatnonzero(outside > cfg.tol_kkt)
+        if candidates.size > 512:
+            top = np.argpartition(outside[candidates], -512)[-512:]
+            candidates = candidates[top]
+        if candidates.size:
+            active = np.union1d(active, candidates)
+        wa, c, _, _, _, it_inner, _ = prox_solve(
+            Z[:, active], y, cfg.loss_weight, True, 0.0, w[active], c,
+            max(cfg.max_iters - iters_total, 1), 0.5 * cfg.tol_kkt,
+            cfg.tol_objective, cfg.support_epsilon)
+        iters_total += it_inner
+        w[:] = 0.0
+        w[active] = wa
+        mw = Z[:, active] @ wa
+    objective = cfg.loss_weight * float(np.logaddexp(0.0, -(y * (mw + c))).sum())
+    objective += float(np.abs(w).sum())
+    w_full = np.zeros(X.shape[1])
+    w_full[keep] = w
+    return w_full, c, objective, kkt, converged, iters_total
+
+
 def central_difference_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)

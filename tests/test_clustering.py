@@ -178,6 +178,21 @@ def test_lloyd_repair_moves_lowest_index_when_every_row_sits_on_a_center():
             assert ((rows - rows[0]) ** 2).sum() == 0.0  # WCSS exactly 0
 
 
+def test_lloyd_wcss_is_never_negative_on_pure_clusters():
+    """Six rows with two distinct values and q=3 end in pure clusters, where
+    the WCSS identity cancels to rounding noise; without the clamp it read
+    below 0 in 51 of these 200 cases."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        v, w = rng.normal(size=(2, 3))
+        features = np.array([v, v, v, w, w, w])[rng.permutation(6)]
+        centers = features[rng.choice(6, 3, replace=False)]
+        _, inertia, history = _lloyd(features, centers, 50)
+        assert min(history) >= 0.0, f"seed {seed}"
+        assert (np.diff(history) <= 1e-9 * max(1.0, history[0])).all(), f"seed {seed}"
+        assert inertia == history[-1]
+
+
 @st.composite
 def _kmeans_instances(draw):
     """Gaussian rows with some zero rows and repeated rows, and any q in [1, p]."""

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from rss_select import solver
 from rss_select.solver import (
     SolverConfig,
     apply_standardization,
@@ -32,6 +35,13 @@ def _random_instance(rng):
     if np.all(y == y[0]):
         y[0] = -y[0]
     return X, y
+
+
+def _pad_with_noise(X, pad, seed):
+    """Append ``pad`` Gaussian noise columns; past 1024 columns in all, the
+    L1 fit takes the working-set path."""
+    noise = np.random.default_rng(seed).normal(size=(X.shape[0], pad))
+    return np.hstack([X, noise])
 
 
 # ----------------------------------------------------------- loss and grad
@@ -138,20 +148,24 @@ def test_objective_never_increases_with_more_iterations():
         assert b <= a + 1e-12 * max(1.0, abs(a))
 
 
-def test_constant_column_weight_is_exactly_zero():
+@pytest.mark.parametrize("pad", [0, 1100])
+def test_constant_column_weight_is_exactly_zero(pad):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(8, 3))
     X[:, 1] = 7.7
     y = np.where(rng.random(8) < 0.5, 1, -1)
     if np.all(y == y[0]):
         y[0] = -y[0]
+    X = _pad_with_noise(X, pad, 40)
     sol = fit_l1_logistic(X, y, SolverConfig(loss_weight=1.0))
     assert sol.w[1] == 0.0
 
 
-def test_column_scale_of_ones_changes_nothing():
+@pytest.mark.parametrize("pad", [0, 1100])
+def test_column_scale_of_ones_changes_nothing(pad):
     rng = np.random.default_rng(5)
     X, y = _random_instance(rng)
+    X = _pad_with_noise(X, pad, 41)
     cfg = SolverConfig(loss_weight=1.5)
     a = fit_l1_logistic(X, y, cfg)
     b = fit_l1_logistic(X, y, cfg, column_scale=np.ones(X.shape[1]))
@@ -159,17 +173,21 @@ def test_column_scale_of_ones_changes_nothing():
     assert a.c == b.c
 
 
-def test_column_scale_can_push_a_column_out_of_the_support():
+@pytest.mark.parametrize("pad", [0, 1100])
+def test_column_scale_can_push_a_column_out_of_the_support(pad):
     """Scaling a column by s < 1 after standardization is the randomized-lasso
     weakness trick: the column's effective penalty grows by 1/s, so a strong
     enough damping keeps an otherwise-selected column out of the support."""
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 2))
     y = np.where(X[:, 0] + 0.3 * rng.normal(size=40) > 0, 1, -1)
+    X = _pad_with_noise(X, pad, 42)
     cfg = SolverConfig(loss_weight=2.0)
     full = fit_l1_logistic(X, y, cfg)
     assert 0 in full.support(cfg.support_epsilon)
-    damped = fit_l1_logistic(X, y, cfg, column_scale=np.array([0.01, 1.0]))
+    scale = np.ones(X.shape[1])
+    scale[0] = 0.01
+    damped = fit_l1_logistic(X, y, cfg, column_scale=scale)
     assert 0 not in damped.support(cfg.support_epsilon)
 
 
@@ -262,3 +280,66 @@ def test_working_set_path_agrees_with_direct_path():
     narrow = fit_l1_logistic(X[:, support], y, cfg)  # direct path
     np.testing.assert_allclose(wide.w[support], narrow.w, atol=1e-5)
     assert wide.c == pytest.approx(narrow.c, abs=1e-5)
+
+
+def test_implicit_gradient_matches_explicit_columns():
+    """The screen's Z'g must equal the product with the built columns, also
+    away from the intercept optimum where sum(g) is far from 0, and on a
+    constant column whose std rounds to a tiny positive value."""
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(30, 50)) * rng.uniform(0.5, 3.0, size=50) + 20.0 * rng.normal(size=50)
+    X[:, 7] = 4.2  # mean of 30 copies rounds, so std is about 1e-15, not 0
+    X[:, 8] = 0.0
+    scale = rng.uniform(0.5, 1.0, size=50)
+    cols = solver._ImplicitColumns(X, scale)
+    assert cols.std[7] > 0.0 and cols.exact.tolist() == [7]
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    keep = std > 0
+    Z = np.zeros_like(X)
+    Z[:, keep] = ((X[:, keep] - mean[keep]) / std[keep]) * scale[keep]
+    np.testing.assert_array_equal(cols.columns(np.arange(50))[:, keep], Z[:, keep])
+    gvec = rng.uniform(0.0, 1.0, size=30)  # sum(g) is about 15
+    got = cols.gradient(gvec)
+    np.testing.assert_allclose(got, Z.T @ gvec, rtol=0, atol=1e-10)
+    assert got[8] == 0.0
+
+
+@st.composite
+def _wide_instances(draw):
+    """Wide problems (m >= 1024) with offset columns, exactly constant
+    columns, duplicated columns and near-constant columns (std 1e-6 about a
+    mean below 1e-3), two classes, and an optional random column scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 40))
+    m = draw(st.integers(1024, 1200))
+    X = rng.normal(size=(n, m)) * rng.uniform(0.5, 3.0, size=m) + 20.0 * rng.normal(size=m)
+    Z = (X[:, :2] - X[:, :2].mean(axis=0)) / X[:, :2].std(axis=0)
+    y = np.where(Z[:, 0] - Z[:, 1] + rng.normal(size=n) > 0, 1, -1)
+    y[:2] = [1, -1]
+    cols = rng.permutation(np.arange(2, m))
+    n_const, n_dup, n_near = (draw(st.integers(1, 20)) for _ in range(3))
+    const, dup, near = np.split(cols[: n_const + n_dup + n_near], [n_const, n_const + n_dup])
+    X[:, const] = rng.normal(size=n_const) * 10.0
+    X[:, dup] = X[:, rng.choice(np.r_[0, 1, cols[60:]], size=n_dup)]
+    X[:, near] = rng.uniform(-1e-3, 1e-3, size=n_near) + 1e-6 * rng.normal(size=(n, n_near))
+    scale = rng.uniform(0.5, 1.0, size=m) if draw(st.booleans()) else None
+    return X, y, float(draw(st.floats(0.3, 2.0))), scale, const
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_wide_instances())
+def test_working_set_path_matches_explicit_reference(instance):
+    """Implicit standardization and the n-sized first screen must reach the
+    answer of the explicit-Z working set with 512-column screens."""
+    X, y, loss_weight, scale, const = instance
+    cfg = SolverConfig(loss_weight=loss_weight, tol_kkt=1e-7)
+    sol = fit_l1_logistic(X, y, cfg, column_scale=scale)
+    want_w, want_c, _, _, want_conv, _ = oracles.fit_l1_working_set_reference(
+        X, y, cfg, scale, solver._prox_solve)
+    assert want_conv and sol.converged
+    assert sol.kkt_residual <= cfg.tol_kkt
+    np.testing.assert_array_equal(sol.support(cfg.support_epsilon),
+                                  np.flatnonzero(np.abs(want_w) > cfg.support_epsilon))
+    np.testing.assert_allclose(sol.w, want_w, rtol=0, atol=1e-5)
+    assert sol.c == pytest.approx(want_c, abs=1e-5)
+    assert (sol.w[const] == 0.0).all()
