@@ -95,9 +95,9 @@ class Dataset:
         y = np.asarray(self.y)
         if y.shape != (X.shape[0],):
             raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
-        y = y.astype(np.int64)
         if not np.isin(y, (-1, 1)).all():
             raise ValueError("labels must all be +1 or -1")
+        y = y.astype(np.int64)
         if self.geometry is not None and self.geometry.p != X.shape[1]:
             raise ValueError(
                 f"geometry has {self.geometry.p} voxels but X has {X.shape[1]} columns"

@@ -130,9 +130,9 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
     c = math.log(n_pos / n_neg) if n_pos and n_neg else 0.0
     n, m = Z.shape
     w = np.zeros(m)
-    _, c, _, _, _, it0, _ = prox_solve(
-        Z[:, :0], y, cfg.loss_weight, True, 0.0, np.zeros(0), c,
-        cfg.max_iters, cfg.tol_kkt, cfg.tol_objective, cfg.support_epsilon)
+    _, c, _, _, _, it0 = prox_solve(
+        Z[:, :0], y, cfg.loss_weight, np.zeros(0), c,
+        cfg.max_iters, cfg.tol_kkt, cfg.support_epsilon)
     iters_total = it0
     active = np.zeros(0, dtype=np.int64)
     mw = np.zeros(n)
@@ -158,10 +158,10 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
             candidates = candidates[top]
         if candidates.size:
             active = np.union1d(active, candidates)
-        wa, c, _, _, _, it_inner, _ = prox_solve(
-            Z[:, active], y, cfg.loss_weight, True, 0.0, w[active], c,
+        wa, c, _, _, _, it_inner = prox_solve(
+            Z[:, active], y, cfg.loss_weight, w[active], c,
             max(cfg.max_iters - iters_total, 1), 0.5 * cfg.tol_kkt,
-            cfg.tol_objective, cfg.support_epsilon)
+            cfg.support_epsilon)
         iters_total += it_inner
         w[:] = 0.0
         w[active] = wa

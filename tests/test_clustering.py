@@ -24,10 +24,10 @@ from rss_select.synthgen import SynthConfig, generate_synthetic
 import oracles
 
 
-def _toy_dataset(n=6, p=5, seed=0, geometry=False):
+def _toy_dataset(n=6, p=5, seed=0, geometry=False, constant=2.5):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
-    X[:, 3] = 2.5  # constant feature
+    X[:, 3] = constant  # constant feature
     y = np.array([1, -1] * (n // 2))
     geom = None
     if geometry:
@@ -52,6 +52,12 @@ def test_feature_vectors_constant_feature_becomes_zero_row():
     ds = _toy_dataset()
     vectors = build_feature_vectors(ds)
     assert_array_equal(vectors[3], np.zeros(ds.n))
+
+
+def test_feature_vectors_repeated_value_with_rounding_std_becomes_zero_row():
+    ds = _toy_dataset(n=30, constant=4.2)
+    assert ds.X[:, 3].std() > 0.0  # std of 30 copies of 4.2 is 8.9e-16, not 0
+    assert_array_equal(build_feature_vectors(ds)[3], np.zeros(ds.n))
 
 
 def test_feature_vectors_duplicate_columns_get_identical_rows():

@@ -205,6 +205,8 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(X=X, y=np.array([1, 1]))
     with pytest.raises(ValueError):
+        Dataset(X=X, y=np.array([1.7, -1.2, 1.0]))  # not truncated to +-1
+    with pytest.raises(ValueError):
         Dataset(X=np.array([[np.inf, 0.0]]), y=np.array([1]))
     ds = Dataset(X=X, y=np.array([1, -1, 1]))
     assert ds.n == 3 and ds.p == 2

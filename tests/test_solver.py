@@ -242,13 +242,26 @@ def test_l2_matches_gradient_descent_oracle():
 
 
 def test_l2_random_instances_against_oracle():
+    """Narrow instances with a moderate ridge, wide ones (m > n, where the
+    fit runs in the row space) with a ridge from 1e-3 to 1e12, and
+    unpenalized fits on 40 randomly labelled rows, whose classes overlap."""
     rng = np.random.default_rng(8)
-    for _ in range(8):
-        X, y = _random_instance(rng)
-        ridge = float(rng.uniform(0.1, 5.0))
+    cases = [(*_random_instance(rng), float(rng.uniform(0.1, 5.0))) for _ in range(8)]
+    for i in range(11):
+        n, m = (int(rng.integers(8, 21)), int(rng.integers(20, 61))) if i < 8 else (40, 2)
+        ridge = float(10.0 ** rng.uniform(-3.0, 12.0)) if i < 8 else 0.0
+        X = rng.normal(size=(n, m)) * rng.uniform(0.5, 3.0, size=m) + rng.normal(size=m)
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = [1, -1]
+        cases.append((X, y, ridge))
+    for X, y, ridge in cases:
         sol = fit_l2_logistic(X, y, ridge)
-        ow, oc = oracles.l2_bfgs_minimize(_standardized(X), y.astype(float), ridge)
-        np.testing.assert_allclose(sol.w, ow, atol=1e-4)
+        assert sol.converged and sol.kkt_residual <= 1e-6
+        # a ridge on Z is a ridge of 1 on Z / sqrt(ridge); at that scale the
+        # oracle's finite-difference self-check holds for any ridge
+        k = math.sqrt(ridge) or 1.0
+        ou, oc = oracles.l2_bfgs_minimize(_standardized(X) / k, y.astype(float), ridge / k**2)
+        np.testing.assert_allclose(sol.w, ou / k, atol=1e-4)
         assert sol.c == pytest.approx(oc, abs=1e-4)
 
 
@@ -293,24 +306,27 @@ def test_working_set_path_agrees_with_direct_path():
 
 def test_implicit_gradient_matches_explicit_columns():
     """The screen's Z'g must equal the product with the built columns, also
-    away from the intercept optimum where sum(g) is far from 0, and on a
-    constant column whose std rounds to a tiny positive value."""
+    away from the intercept optimum where sum(g) is far from 0, on a column
+    whose mean is far larger than its std, and on constant columns, one of
+    them with a std that rounds to a tiny positive value."""
     rng = np.random.default_rng(13)
     X = rng.normal(size=(30, 50)) * rng.uniform(0.5, 3.0, size=50) + 20.0 * rng.normal(size=50)
     X[:, 7] = 4.2  # mean of 30 copies rounds, so std is about 1e-15, not 0
     X[:, 8] = 0.0
+    X[:, 9] = 1e5 + 1e-3 * rng.normal(size=30)  # |mean| / std is about 1e8
     scale = rng.uniform(0.5, 1.0, size=50)
     cols = solver._ImplicitColumns(X, scale)
-    assert cols.std[7] > 0.0 and cols.exact.tolist() == [7]
+    assert cols.std[7] > 0.0 and cols.exact.tolist() == [9]
     mean, std = X.mean(axis=0), X.std(axis=0)
-    keep = std > 0
+    keep = std > 30 * np.finfo(np.float64).eps * np.abs(mean)
+    assert keep.sum() == 48
     Z = np.zeros_like(X)
     Z[:, keep] = ((X[:, keep] - mean[keep]) / std[keep]) * scale[keep]
-    np.testing.assert_array_equal(cols.columns(np.arange(50))[:, keep], Z[:, keep])
+    np.testing.assert_array_equal(cols.columns(np.flatnonzero(keep)), Z[:, keep])
     gvec = rng.uniform(0.0, 1.0, size=30)  # sum(g) is about 15
     got = cols.gradient(gvec)
     np.testing.assert_allclose(got, Z.T @ gvec, rtol=0, atol=1e-10)
-    assert got[8] == 0.0
+    assert got[7] == 0.0 and got[8] == 0.0
 
 
 @st.composite
