@@ -231,8 +231,12 @@ def l2_gd_minimize(Z, y, lambda_ridge, max_iters=200000, tol=1e-10):
 def l2_bfgs_minimize(Z, y, lambda_ridge):
     """Independent ridge logistic minimizer via scipy's BFGS.
 
-    Faster than the tiny-step descent above on ill-conditioned instances;
-    the analytic gradient is still finite-difference checked first.
+    Faster than the tiny-step descent above on ill-conditioned instances.
+    The analytic gradient is checked first, one term at a time: the
+    logistic loss against central differences, and the ridge term against
+    central differences of the ridge term alone. Each check is then relative
+    to its own term's scale; on the sum, a ridge of 1e5 or more makes the
+    rounding of the objective swamp the intercept's difference quotient.
     """
     from scipy.optimize import minimize
 
@@ -240,23 +244,115 @@ def l2_bfgs_minimize(Z, y, lambda_ridge):
     y = np.asarray(y, dtype=np.float64)
     m = Z.shape[1]
 
-    def value(theta):
-        return logistic_objective(Z, y, 1.0, theta[:m], theta[m],
-                                  l1=False, ridge=lambda_ridge)
+    def loss(theta):
+        return logistic_objective(Z, y, 1.0, theta[:m], theta[m], l1=False, ridge=0.0)
 
-    def grad(theta):
+    def loss_grad(theta):
         w, c = theta[:m], theta[m]
         margins = y * (Z @ w + c)
         s = -y / (1.0 + np.exp(margins))
-        return np.concatenate([Z.T @ s + lambda_ridge * w, [s.sum()]])
+        return np.concatenate([Z.T @ s, [s.sum()]])
+
+    def ridge(theta):
+        return 0.5 * lambda_ridge * float(theta[:m] @ theta[:m])
+
+    def ridge_grad(theta):
+        return np.concatenate([lambda_ridge * theta[:m], [0.0]])
+
+    def value(theta):
+        return loss(theta) + ridge(theta)
+
+    def grad(theta):
+        return loss_grad(theta) + ridge_grad(theta)
 
     probe = np.random.default_rng(1).normal(size=m + 1)
-    fd = central_difference_gradient(value, probe)
-    assert np.allclose(grad(probe), fd, rtol=1e-5, atol=1e-7), "oracle gradient is wrong"
+    fd = central_difference_gradient(loss, probe)
+    assert np.allclose(loss_grad(probe), fd, rtol=1e-5, atol=1e-7), "oracle loss gradient is wrong"
+    fd = central_difference_gradient(ridge, probe)
+    scale = max(lambda_ridge, 1.0)
+    assert np.allclose(ridge_grad(probe) / scale, fd / scale, rtol=1e-5, atol=1e-7), \
+        "oracle ridge gradient is wrong"
 
     res = minimize(value, np.zeros(m + 1), jac=grad, method="BFGS",
                    options={"gtol": 1e-10, "maxiter": 10000})
     return res.x[:m], float(res.x[m])
+
+
+def block_cover_reference(geometry, block_shape):
+    """Anchor-to-voxel map of ``BlockCover`` as first shipped: every
+    (anchor, voxel) pair, stable-argsorted by anchor. Returns
+    ``(anchor_ids, starts, features)``; anchor a covers
+    ``features[starts[a]:starts[a + 1]]``."""
+    block = tuple(int(b) for b in block_shape)
+    dims = np.asarray(geometry.dims)
+    p = geometry.p
+    n_cells = block[0] * block[1] * block[2]
+    shifted_dims = dims + np.asarray(block) - 1
+    anchor_of_pair = np.empty(p * n_cells, dtype=np.int64)
+    feat_of_pair = np.empty(p * n_cells, dtype=np.int64)
+    feats = np.arange(p, dtype=np.int64)
+    pos = 0
+    for ox in range(block[0]):
+        for oy in range(block[1]):
+            for oz in range(block[2]):
+                shifted = geometry.mask + np.array([ox, oy, oz])
+                flat = (shifted[:, 0] * shifted_dims[1] + shifted[:, 1]) * shifted_dims[2] + shifted[:, 2]
+                anchor_of_pair[pos : pos + p] = flat
+                feat_of_pair[pos : pos + p] = feats
+                pos += p
+    order = np.argsort(anchor_of_pair, kind="stable")
+    sorted_anchors = anchor_of_pair[order]
+    features = feat_of_pair[order]
+    anchor_ids, starts = np.unique(sorted_anchors, return_index=True)
+    starts = np.append(starts, sorted_anchors.size)
+    return anchor_ids, starts, features
+
+
+def block_draw_reference(starts, features, gen, parcellation, quotas):
+    """``BlockCover.draw`` as first shipped: one anchor per Python step until
+    every quota is met, then a per-cluster trim in ascending cluster order.
+    ``starts`` and ``features`` come from ``block_cover_reference``."""
+    n_anchors = starts.size - 1
+    assignment = parcellation.assignment
+    members = parcellation.members()
+    picked = np.zeros(assignment.size, dtype=bool)
+    counts = np.zeros(parcellation.q, dtype=np.int64)
+    cap = 10_000 + 50 * n_anchors
+    draws = 0
+    unmet = parcellation.q
+    while unmet:
+        if draws >= cap:
+            raise RuntimeError(
+                "block accumulation did not meet cluster quotas; geometry or parcellation is degenerate"
+            )
+        a = int(gen.integers(n_anchors))
+        voxels = features[starts[a] : starts[a + 1]]
+        fresh = voxels[~picked[voxels]]
+        draws += 1
+        if fresh.size == 0:
+            continue
+        picked[fresh] = True
+        np.add.at(counts, assignment[fresh], 1)
+        unmet = int((counts < quotas).sum())
+    out = []
+    for g in range(parcellation.q):
+        got = members[g][picked[members[g]]]
+        if got.size > quotas[g]:
+            keep = gen.choice(got.size, size=int(quotas[g]), replace=False)
+            got = np.sort(got[keep])
+        out.append(got)
+    return tuple(out)
+
+
+def average_supervoxels_reference(X, picked):
+    """Cluster averages as first shipped: one fancy-index mean per cluster."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((X.shape[0], len(picked)))
+    for j, cols in enumerate(picked):
+        if len(cols) == 0:
+            raise ValueError(f"cluster {j} has no picked features")
+        out[:, j] = X[:, cols].mean(axis=1)
+    return out
 
 
 def pr_points_bruteforce(scores, truth):

@@ -204,9 +204,8 @@ def test_criterion_4_quota_exactness_and_inclusion():
         quotas = cluster_quotas(parcellation, beta)
         cover = BlockCover(geometry, (3, 3, 2))
         gen = RngStream(500 + trial, 0).generator()
-        members = parcellation.members()
         for _ in range(25):
-            picked = cover.draw(gen, parcellation, quotas, members)
+            picked = cover.draw(gen, parcellation, quotas)
             draws += 1
             exact = exact and all(p.size == quotas[g] for g, p in enumerate(picked))
 
@@ -219,11 +218,10 @@ def test_criterion_4_quota_exactness_and_inclusion():
     quotas = cluster_quotas(parcellation, beta)
     cover = BlockCover(freq_grid, (3, 3, 2))
     gen = RngStream(900, 0).generator()
-    members = parcellation.members()
     mc_draws = 3000
     hits = np.zeros(freq_grid.p)
     for _ in range(mc_draws):
-        for picked in cover.draw(gen, parcellation, quotas, members):
+        for picked in cover.draw(gen, parcellation, quotas):
             hits[picked] += 1
     max_dev = float(np.abs(hits / mc_draws - beta).max())
 

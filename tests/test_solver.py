@@ -257,11 +257,8 @@ def test_l2_random_instances_against_oracle():
     for X, y, ridge in cases:
         sol = fit_l2_logistic(X, y, ridge)
         assert sol.converged and sol.kkt_residual <= 1e-6
-        # a ridge on Z is a ridge of 1 on Z / sqrt(ridge); at that scale the
-        # oracle's finite-difference self-check holds for any ridge
-        k = math.sqrt(ridge) or 1.0
-        ou, oc = oracles.l2_bfgs_minimize(_standardized(X) / k, y.astype(float), ridge / k**2)
-        np.testing.assert_allclose(sol.w, ou / k, atol=1e-4)
+        ow, oc = oracles.l2_bfgs_minimize(_standardized(X), y.astype(float), ridge)
+        np.testing.assert_allclose(sol.w, ow, atol=1e-4)
         assert sol.c == pytest.approx(oc, abs=1e-4)
 
 

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import oracles
 from rss_select.data import (
     Dataset,
     GridGeometry,
@@ -175,13 +178,12 @@ def test_block_subsample_inclusion_frequency_and_adjacency():
     assert_array_equal(quotas, [4, 4, 4, 4])
     cover = BlockCover(geometry, (2, 2, 1))
     gen = RngStream(9, 0).generator()
-    members = parc.members()
 
     draws = 5000
     hits = np.zeros(geometry.p)
     joint = np.zeros((geometry.p, geometry.p))
     for _ in range(draws):
-        picked = cover.draw(gen, parc, quotas, members)
+        picked = cover.draw(gen, parc, quotas)
         flat = np.concatenate(picked)
         hits[flat] += 1
         joint[np.ix_(flat, flat)] += 1
@@ -195,6 +197,84 @@ def test_block_subsample_inclusion_frequency_and_adjacency():
     distant = same_cluster & (manhattan >= 3)
     joint_freq = joint / draws
     assert joint_freq[adjacent].mean() > joint_freq[distant].mean() + 0.01
+
+
+def test_block_draw_rejects_quotas_outside_cluster_sizes():
+    """A quota above its cluster's size can never be met and a quota of 0
+    would silently pick nothing; both are refused before any block is drawn."""
+    geometry = _full_grid_geometry((8, 8, 1))
+    parc = _quadrant_parcellation(geometry)  # four clusters of 16
+    cover = BlockCover(geometry, (2, 2, 1))
+    gen = RngStream(4, 0).generator()
+    state = gen.bit_generator.state
+    for quotas, bad in [([4, 4, 17, 4], "cluster 2"), ([4, 0, 4, 4], "cluster 1")]:
+        with pytest.raises(ValueError, match=bad):
+            cover.draw(gen, parc, np.array(quotas))
+    with pytest.raises(ValueError, match="shape"):
+        cover.draw(gen, parc, np.array([4, 4, 4]))
+    assert gen.bit_generator.state == state
+    picked = cover.draw(gen, parc, np.array([16, 1, 16, 1]))
+    assert [g.size for g in picked] == [16, 1, 16, 1]
+
+
+@st.composite
+def _block_instances(draw):
+    """A random mask in a small grid (voxels in random order), a block shape
+    from (1, 1, 1) to (3, 3, 3), q from 1 to p clusters and quotas from 1 to
+    each cluster's size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    full = np.array(list(itertools.product(*(range(d) for d in dims))), dtype=np.uint32)
+    p = draw(st.integers(1, full.shape[0]))
+    geometry = GridGeometry(dims=dims, mask=full[rng.choice(full.shape[0], size=p, replace=False)])
+    block = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    q = draw(st.integers(1, p))
+    assignment = rng.integers(0, q, size=p)
+    assignment[rng.permutation(p)[:q]] = np.arange(q)  # every cluster used
+    parc = Parcellation(assignment=assignment, q=q)
+    quotas = rng.integers(1, np.bincount(assignment, minlength=q) + 1)
+    return geometry, block, parc, quotas
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_block_instances())
+def test_block_cover_replays_reference(instance):
+    geometry, block, _, _ = instance
+    cover = BlockCover(geometry, block)
+    anchor_ids, starts, features = oracles.block_cover_reference(geometry, block)
+    assert_array_equal(cover.anchor_ids, anchor_ids)
+    assert cover.n_anchors == anchor_ids.size
+    for a in range(cover.n_anchors):
+        assert_array_equal(cover.voxels_of(a), features[starts[a] : starts[a + 1]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_block_instances(), st.integers(0, 2**32 - 1))
+def test_block_draw_replays_reference(instance, seed):
+    """Three draws in a row from one generator: the same picks as the
+    one-anchor-at-a-time loop, and the same generator state after each."""
+    geometry, block, parc, quotas = instance
+    cover = BlockCover(geometry, block)
+    _, starts, features = oracles.block_cover_reference(geometry, block)
+    gen, ref_gen = (RngStream(seed, 0).generator() for _ in range(2))
+    for _ in range(3):
+        picked = cover.draw(gen, parc, quotas)
+        want = oracles.block_draw_reference(starts, features, ref_gen, parc, quotas)
+        assert len(picked) == len(want)
+        for got, exp in zip(picked, want):
+            assert_array_equal(got, exp)
+            assert got.dtype == exp.dtype
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2**40), st.integers(0, 300))
+def test_batched_integers_match_single_draws(seed, n, k):
+    """The block draw relies on this numpy property: one size-k draw gives
+    the values, and leaves the state, of k single draws."""
+    batch, single = (RngStream(seed, 0).generator() for _ in range(2))
+    assert_array_equal(batch.integers(n, size=k), [single.integers(n) for _ in range(k)])
+    assert batch.bit_generator.state == single.bit_generator.state
 
 
 def test_average_supervoxels_examples():
@@ -223,6 +303,41 @@ def test_average_supervoxels_rejects_empty_cluster_pick():
     parc = Parcellation(assignment=np.array([0, 1, 1]), q=2)
     with pytest.raises(ValueError, match="parcellation"):
         average_supervoxels(X, (np.array([0]),), parc)
+
+
+def test_average_supervoxels_rejects_out_of_range_picks():
+    # a negative index would otherwise read the last column, or, in the flat
+    # gather, a neighbouring row
+    X = np.arange(12.0).reshape(3, 4)
+    for cols in ([-1], [4], [0, 2, 7]):
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            average_supervoxels(X, (np.array([1]), np.array(cols)))
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            average_supervoxels(X, (np.array(cols),), rows=np.array([0, 2]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 40), st.integers(1, 8),
+       st.booleans())
+def test_average_supervoxels_replays_reference(seed, n_rows, p, q, all_rows):
+    """Byte-equal to one fancy-index mean per cluster over the drawn rows,
+    with picks of any size (singletons too, repeats allowed), values of
+    mixed magnitude and signed zeros."""
+    rng = np.random.default_rng(seed)
+    n = n_rows if all_rows else int(rng.integers(n_rows, 10))
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-6, 6, size=p)
+    X[rng.random(X.shape) < 0.2] = -0.0
+    X[rng.random(X.shape) < 0.1] = 0.0
+    picked = tuple(rng.integers(0, p, size=int(rng.integers(1, 30))) for _ in range(q))
+    if all_rows:
+        got, want = average_supervoxels(X, picked), oracles.average_supervoxels_reference(X, picked)
+    else:
+        rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+        got = average_supervoxels(X, picked, rows=rows)
+        want = oracles.average_supervoxels_reference(X[rows], picked)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def _noise_dataset(seed=0, n=40, dims=(10, 10, 4)):
