@@ -146,7 +146,8 @@ class BlockCover:
         anchor after which every quota is met, and the generator is rewound
         to draw exactly that prefix. Trimming then drops uniformly random
         picked features of each over-quota cluster, cluster ids ascending,
-        so each cluster returns exactly its quota, sorted.
+        so each cluster returns exactly its quota, sorted. Each quota must
+        lie in [1, cluster size].
         """
         assignment = parcellation.assignment
         q = parcellation.q
