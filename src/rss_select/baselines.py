@@ -11,8 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, StabilityScores
-from .solver import SolverConfig, fit_l1_logistic, fit_l2_logistic
-from .stability import draw_row_subsample, resample
+from .solver import (
+    SolverConfig,
+    fit_l1_batch,
+    fit_l1_logistic,
+    fit_l2_logistic,
+    lockstep_batch_size,
+)
+from .stability import draw_row_subsample, resample, round_nearest
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,17 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     the same way when too many fits fail, and the thread count never changes
     the result.
     """
-    X, y = dataset.X, dataset.y
+    X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
-    def iteration(gen):
+    def draw(gen):
         rows = draw_row_subsample(dataset.n, config.row_fraction, gen)
-        scale = gen.uniform(config.weakness, 1.0, size=dataset.p)
-        sol = fit_l1_logistic(X[rows], y[rows], config.solver, column_scale=scale)
-        return sol.support(eps), sol
+        return rows, gen.uniform(config.weakness, 1.0, size=dataset.p)
 
-    return resample(dataset.p, config.K, config.master_seed, iteration, threads)
+    def fit(draws):
+        sols = fit_l1_batch(X, y, np.stack([rows for rows, _ in draws]), config.solver,
+                            [scale for _, scale in draws])
+        return [(sol.support(eps), sol) for sol in sols]
+
+    batch = lockstep_batch_size(round_nearest(config.row_fraction * dataset.n), dataset.p)
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, batch, threads)

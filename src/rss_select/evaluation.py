@@ -11,7 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, StabilityScores, derive_stream
-from .solver import apply_standardization, fit_l2_logistic, standardize_columns
+from .solver import apply_standardization, fit_l2_standardized, standardize_columns
+from .solver import fit_l2_logistic  # noqa: F401  perfbench traces this name here
 from .stability import threshold_scores
 
 DEFAULT_THRESHOLD_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -114,22 +115,20 @@ def cv_threshold(dataset: Dataset, scores, grid=DEFAULT_THRESHOLD_GRID,
     if not grid:
         raise ValueError("grid must be non-empty")
     fold_of = _stratified_folds(dataset.y, n_folds, seed)
-    for f in range(n_folds):
-        train_y = dataset.y[fold_of != f]
+    folds = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(n_folds)]
+    for train_rows, _ in folds:
+        train_y = dataset.y[train_rows]
         if (train_y == 1).sum() == 0 or (train_y == -1).sum() == 0:
             raise ValueError("too few samples per class for stratified folds")
+    X, y = dataset.X, dataset.y
     best_tau, best_acc = None, -1.0
     for tau in grid:
         features = np.flatnonzero(scores >= tau)
         if features.size == 0:
             continue
-        accs = []
-        for f in range(n_folds):
-            train_rows = fold_of != f
-            test_rows = ~train_rows
-            train = Dataset(X=dataset.X[train_rows], y=dataset.y[train_rows])
-            test = Dataset(X=dataset.X[test_rows], y=dataset.y[test_rows])
-            accs.append(prediction_accuracy(train, test, features, lambda_ridge))
+        accs = [_ridge_accuracy(X[np.ix_(train_rows, features)], y[train_rows],
+                                X[np.ix_(test_rows, features)], y[test_rows], lambda_ridge)
+                for train_rows, test_rows in folds]
         acc = float(np.mean(accs))
         if acc >= best_acc:  # >= keeps the larger threshold on ties
             best_tau, best_acc = tau, acc
@@ -152,13 +151,19 @@ def prediction_accuracy(train: Dataset, test: Dataset, features,
         raise ValueError("train and test disagree on feature count")
     if features.min() < 0 or features.max() >= train.p:
         raise ValueError("feature indices out of range")
-    Xtr = train.X[:, features]
-    sol = fit_l2_logistic(Xtr, train.y, lambda_ridge)
-    _, mean, std, keep = standardize_columns(Xtr)
-    Zte = apply_standardization(test.X[:, features], mean, std, keep)
-    margins = Zte @ sol.w[keep] + sol.c
+    return _ridge_accuracy(train.X[:, features], train.y, test.X[:, features], test.y,
+                           lambda_ridge)
+
+
+def _ridge_accuracy(Xtr, ytr, Xte, yte, lambda_ridge) -> float:
+    """Test accuracy of a ridge fit on the selected columns of validated
+    data: standardizes the training columns once, for the fit and for the
+    test rows."""
+    Ztr, mean, std, keep = standardize_columns(Xtr)
+    sol = fit_l2_standardized(Ztr, ytr.astype(np.float64), lambda_ridge)
+    margins = apply_standardization(Xte, mean, std, keep) @ sol.w + sol.c
     pred = np.where(margins >= 0, 1, -1)
-    return float((pred == test.y).mean())
+    return float((pred == yte).mean())
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,32 @@
 
 The L1 objective is ``||w||_1 + loss_weight * sum_i log(1 + exp(-y_i (x_i'w + c)))``
 with an unpenalized intercept; the weight sits on the loss, so small values
-force sparser solutions. Fitting runs accelerated proximal gradient descent
-with backtracking line search and a monotone restart rule, plus a dedicated
-Newton refresh for the intercept each iteration. Columns are standardized
-internally (zero mean, unit population variance) and weights are reported in
-the standardized basis; constant columns get weight exactly zero.
+force sparser solutions. Columns are standardized internally (zero mean,
+unit population variance) and weights are reported in the standardized
+basis; constant columns get weight exactly zero.
 
-For wide problems the L1 path switches to a working-set strategy: solve on a
-small active set, then screen the full gradient for violators until the
-optimality conditions hold over all columns. Wide fits standardize
-implicitly: the screen folds mean, std and column scale into one product
-with X, and only the active columns are ever standardized, so the weights
-are still reported in the standardized basis.
+Every L1 fit runs through one kernel, ``_prox_solve``: accelerated proximal
+gradient descent with backtracking line search, a monotone restart rule and
+a Newton refresh of the intercept each iteration, in lockstep over a stack
+of B problems of equal shape (B, n, a). Each problem keeps its own step
+size, backtracking, momentum and stop state, and leaves the stack when it
+stops. A single fit is a stack of one. The stacked products are
+``np.matmul`` over the stack and the sums are row sums, which equal the
+products and sums of each problem on its own bit for bit, so a problem's
+result does not depend on the problems that share its stack.
+
+``fit_l1_batch`` fits B row subsamples of one matrix in lockstep; it is
+what ``fit_l1_logistic`` (B = 1) and both resampling selectors call. Narrow
+problems are standardized one by one; a constant column becomes a zero
+column, which stays at weight 0. Wide problems take a working-set strategy:
+solve on small active sets, then screen the full gradients for violators
+until the optimality conditions hold over all columns. Wide fits
+standardize implicitly: column statistics of all B subsamples come from one
+pass over X, the screens are one product of X with the residuals (zero on
+the rows a subsample did not draw), and only active columns are ever
+built. Active sets of different sizes are padded with zero columns, so a
+wide result can move in the last digits with the other problems of its
+batch.
 
 The ridge fit is exact damped Newton in the row space of the standardized
 matrix: the minimizer lies in the span of its rows, so Newton runs on at
@@ -23,25 +37,39 @@ most n coordinates plus the intercept, whatever the column count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, SolverSolution
 
-# above this column count fit_l1_logistic screens columns instead of
-# running proximal gradient on the full matrix
+# above this column count L1 fits screen columns instead of running
+# proximal gradient on the full matrix
 _WORKING_SET_MIN_COLS = 1024
 # a wide column whose |mean| exceeds this many stds is screened from its
-# built standardized copy instead of implicitly (see _ImplicitColumns)
+# built standardized copy instead of implicitly (see _ImplicitColumns); a
+# column whose second moment exceeds its variance this many times has its
+# statistics recomputed in two passes (see _subsample_stats)
 _CANCEL_RATIO = 1e4
+# float64 entries (4 MiB) per lockstep batch array: narrow problems stack
+# their n x m matrices, wide ones their m-long rows (see
+# lockstep_batch_size), and column statistics read X in blocks of this size
+_BATCH_ENTRIES = 1 << 19
+# most problems per lockstep batch: a batch runs until its slowest problem
+# stops, and a larger one holds more memory (a wide batch also pads its
+# active columns, k x a per problem); a cap of 32 raised the README tour's
+# peak memory by 5%
+_MAX_BATCH = 16
 _MAX_OUTER = 100
 _MIN_STEP = 1e-18
 _STALL_LIMIT = 10
 _TOL_OBJECTIVE = 1e-14  # relative objective change that counts as a stall
 _L2_MAX_ITERS = 100
 _L2_TOL_KKT = 1e-6
+# the rule that ended a problem in _prox_solve, by its stop code
+_STOP_RULES = ("kkt", "stall", "no progress", "max iters")
+_KKT, _STALL, _NO_PROGRESS, _MAX_ITERS = range(len(_STOP_RULES))
 
 
 @dataclass(frozen=True)
@@ -153,214 +181,383 @@ def _l1_violation(gw, w, eps):
     return np.where(at_zero, np.maximum(np.abs(gw) - 1.0, 0.0), np.abs(gw + np.sign(w)))
 
 
-def _newton_intercept(base, y, loss_weight, c, steps=2):
-    """Damped Newton steps on the intercept with the weights held fixed.
+def _mv(Z, w):
+    """``Z[b] @ w[b]`` for each problem of a stack."""
+    return np.matmul(Z, w[:, :, None])[:, :, 0]
 
-    ``base`` are the margins without the intercept term. Returns the new
-    intercept and the weighted loss there. Never increases the loss.
+
+def _tmv(Z, g):
+    """``Z[b].T @ g[b]`` for each problem of a stack."""
+    return np.matmul(g[:, None, :], Z)[:, 0]
+
+
+def _dot(u, v):
+    """``u[b] @ v[b]`` for each row pair."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _loss(y, margins_without_c, c, loss_weight):
+    """Weighted logistic loss of each problem at intercepts ``c``."""
+    return loss_weight * np.logaddexp(0.0, -(y * (margins_without_c + c[:, None]))).sum(axis=1)
+
+
+def _newton_intercept(base, y, loss_weight, c, f0, steps=2):
+    """Damped Newton steps on each problem's intercept, weights held fixed.
+
+    ``base`` holds each problem's margins without the intercept term and
+    ``f0`` the weighted losses at ``c``. Returns the new intercepts and the
+    weighted losses there. Never increases a loss; a problem stops early
+    when its gradient vanishes or 30 halvings find no decrease.
     """
-
-    def phi(cc):
-        return loss_weight * float(np.logaddexp(0.0, -(y * (base + cc))).sum())
-
-    f0 = phi(c)
+    c, f0 = c.copy(), f0.copy()
+    idx = np.arange(c.size)
     for _ in range(steps):
-        s = expit(-(y * (base + c)))
-        g = -loss_weight * float((y * s).sum())
-        if abs(g) < 1e-18:
-            break
-        h = loss_weight * float((s * (1.0 - s)).sum())
-        d = -g / max(h, 1e-12)
-        d = min(max(d, -20.0), 20.0)
-        f1 = phi(c + d)
-        halvings = 0
-        while f1 > f0 and halvings < 30:
-            d *= 0.5
-            f1 = phi(c + d)
-            halvings += 1
-        if f1 > f0:
-            break
-        c += d
-        f0 = f1
+        s = expit(-(y * (base + c[idx, None])))
+        g = -loss_weight * (y * s).sum(axis=1)
+        moving = np.abs(g) >= 1e-18
+        if not moving.all():
+            idx, y, base, s, g = idx[moving], y[moving], base[moving], s[moving], g[moving]
+        h = loss_weight * (s * (1.0 - s)).sum(axis=1)
+        d = np.clip(-g / np.maximum(h, 1e-12), -20.0, 20.0)
+        f1 = _loss(y, base, c[idx] + d, loss_weight)
+        up = np.flatnonzero(f1 > f0[idx])
+        for _ in range(30):
+            if not up.size:
+                break
+            d[up] *= 0.5
+            f1[up] = _loss(y[up], base[up], c[idx[up]] + d[up], loss_weight)
+            up = up[f1[up] > f0[idx[up]]]
+        down = ~(f1 > f0[idx])
+        if not down.all():
+            idx, y, base, d, f1 = idx[down], y[down], base[down], d[down], f1[down]
+        c[idx] += d
+        f0[idx] = f1
     return c, f0
 
 
 def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
-    """Accelerated proximal gradient on standardized columns.
+    """Accelerated proximal gradient, in lockstep over a stack of problems.
 
-    Minimizes ``loss_weight * L(w, c) + ||w||_1`` with the intercept refreshed
-    by its own Newton step every iteration. Momentum restarts whenever the
-    accepted objective would increase, so the accepted objective never
-    increases.
+    Minimizes ``loss_weight * L(w, c) + ||w||_1`` for each problem
+    ``(Z[b], y[b])`` of the stack Z (B, n, a) of standardized columns, with
+    y (B, n) and warm starts w0 (B, a), c0 (B,). Each intercept is refreshed
+    by its own Newton step every iteration. Each problem keeps its own step
+    size, and its momentum restarts whenever its accepted objective would
+    increase, so no accepted objective increases. A problem leaves the stack
+    at the first rule that ends it: KKT residual at most ``tol_kkt``,
+    ``_STALL_LIMIT`` iterations in a row without relative objective change,
+    no progress even after a restart, or ``max_iters`` (at least 1; one
+    value or one per problem) accepted iterations.
 
-    Returns ``(w, c, objective, kkt, converged, iters)``.
+    Returns ``(w, c, objective, kkt, converged, iters, stop)``, one entry per
+    problem; ``stop`` indexes ``_STOP_RULES``.
     """
-    n = y.size
-    w = np.asarray(w0, dtype=np.float64).copy()
-    c = float(c0)
-    mw = Z @ w
-
-    def loss(margins):
-        return loss_weight * float(np.logaddexp(0.0, -margins).sum())
-
-    step = 1.0 / (0.25 * loss_weight * n + 1e-12)
-
-    def attempt(from_w, from_mw):
-        nonlocal step
-        my = y * (from_mw + c)
-        gvec = -(y * expit(-my))
-        f_from = loss(my)
-        gw = loss_weight * (Z.T @ gvec)
-        while True:
-            w_cand = _soft_threshold(from_w - step * gw, step)
-            mw_cand = Z @ w_cand
-            d = w_cand - from_w
-            f_cand = loss(y * (mw_cand + c))
-            bound = f_from + float(gw @ d) + float(d @ d) / (2.0 * step)
-            if f_cand <= bound + 1e-12 * max(1.0, abs(f_from)):
-                break
-            step *= 0.5
-            if step < _MIN_STEP:
-                w_cand = from_w.copy()
-                mw_cand = from_mw
-                break
-        c_cand, floss = _newton_intercept(mw_cand, y, loss_weight, c)
-        return w_cand, mw_cand, c_cand, floss + float(np.abs(w_cand).sum())
-
-    F = loss(y * (mw + c)) + float(np.abs(w).sum())
-    t = 1.0
+    B, n, a = Z.shape
+    w = np.array(w0, dtype=np.float64)
+    c = np.array(c0, dtype=np.float64)
+    limit = np.broadcast_to(np.asarray(max_iters, dtype=np.int64), (B,))
+    mw = _mv(Z, w)
+    F = _loss(y, mw, c, loss_weight) + np.abs(w).sum(axis=1)
+    step = np.full(B, 1.0 / (0.25 * loss_weight * n + 1e-12))
+    t = np.ones(B)
+    kkt = np.full(B, math.inf)
+    stall = np.zeros(B, dtype=np.int64)
+    it = np.zeros(B, dtype=np.int64)
     wy, mwy = w.copy(), mw.copy()
-    kkt = math.inf
-    stall = 0
-    it = 0
-    while it < max_iters:
-        w_cand, mw_cand, c_cand, F_cand = attempt(wy, mwy)
-        slack = 1e-12 * max(1.0, abs(F))
-        if F_cand > F + slack:
-            # momentum overshot: restart from the last accepted point
-            t = 1.0
-            w_cand, mw_cand, c_cand, F_cand = attempt(w, mw)
-            if F_cand > F + slack:
-                break  # numerical floor, cannot make progress
-        w_prev, mw_prev, F_prev = w, mw, F
-        w, mw, c, F = w_cand, mw_cand, c_cand, min(F_cand, F)
-        it += 1
+    pid = np.arange(B)  # original index of each problem still in the stack
+    owned = False  # whether Z is the kernel's own copy
+    out_w, out_c, out_F = np.empty((B, a)), np.empty(B), np.empty(B)
+    out_kkt, out_it, out_stop = np.empty(B), np.empty(B, dtype=np.int64), np.empty(B, dtype=np.int8)
 
-        gvec = -(y * expit(-(y * (mw + c))))
-        gw = loss_weight * (Z.T @ gvec)
-        gc = loss_weight * float(gvec.sum())
-        kkt = max(float(_l1_violation(gw, w, support_epsilon).max(initial=0.0)), abs(gc))
-        if kkt <= tol_kkt:
-            break
-
-        if abs(F_prev - F) <= _TOL_OBJECTIVE * max(1.0, abs(F)):
-            stall += 1
-            if stall >= _STALL_LIMIT:
+    def attempt(sel, from_w, from_mw):
+        """One backtracked proximal step from (from_w, from_mw) for the
+        problems ``sel``, each with its own step size, plus the intercept
+        refresh."""
+        Zs, ys, cs, st = Z[sel], y[sel], c[sel], step[sel]
+        my = ys * (from_mw + cs[:, None])
+        gvec = -(ys * expit(-my))
+        f_from = loss_weight * np.logaddexp(0.0, -my).sum(axis=1)
+        gw = loss_weight * _tmv(Zs, gvec)
+        w_cand, mw_cand = np.empty_like(from_w), np.empty_like(from_mw)
+        f_cand = np.empty_like(f_from)
+        todo = slice(None)  # the problems still backtracking
+        while True:
+            s = st[todo]
+            wc = _soft_threshold(from_w[todo] - s[:, None] * gw[todo], s[:, None])
+            mwc = _mv(Zs[todo], wc)
+            d = wc - from_w[todo]
+            fc = _loss(ys[todo], mwc, cs[todo], loss_weight)
+            bound = f_from[todo] + _dot(gw[todo], d) + _dot(d, d) / (2.0 * s)
+            ok = fc <= bound + 1e-12 * np.maximum(1.0, np.abs(f_from[todo]))
+            if isinstance(todo, slice) and ok.all():
+                w_cand, mw_cand, f_cand = wc, mwc, fc
                 break
-        else:
-            stall = 0
+            todo = np.arange(st.size)[todo]
+            w_cand[todo[ok]], mw_cand[todo[ok]], f_cand[todo[ok]] = wc[ok], mwc[ok], fc[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            st[todo] *= 0.5
+            floor = st[todo] < _MIN_STEP
+            if floor.any():
+                stay = todo[floor]  # no step left: keep the starting point
+                w_cand[stay], mw_cand[stay], f_cand[stay] = from_w[stay], from_mw[stay], f_from[stay]
+                todo = todo[~floor]
+                if not todo.size:
+                    break
+        step[sel] = st
+        c_cand, floss = _newton_intercept(mw_cand, ys, loss_weight, cs, f_cand)
+        return w_cand, mw_cand, c_cand, floss + np.abs(w_cand).sum(axis=1)
 
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
+    def finish(done, code):
+        """Record the problems ``done`` as stopped by rule ``code``."""
+        at = pid[done]
+        out_w[at], out_c[at], out_F[at] = w[done], c[done], F[done]
+        out_kkt[at], out_it[at], out_stop[at] = kkt[done], it[done], code
+
+    while pid.size:
+        w_cand, mw_cand, c_cand, F_cand = attempt(slice(None), wy, mwy)
+        slack = 1e-12 * np.maximum(1.0, np.abs(F))
+        over = np.flatnonzero(F_cand > F + slack)
+        stuck = np.zeros(pid.size, dtype=bool)
+        if over.size:
+            # momentum overshot: restart from the last accepted point
+            t[over] = 1.0
+            restarted = attempt(over, w[over], mw[over])
+            w_cand[over], mw_cand[over], c_cand[over], F_cand[over] = restarted
+            stuck[over] = F_cand[over] > F[over] + slack[over]  # numerical floor
+            finish(stuck, _NO_PROGRESS)
+        w_prev, mw_prev, F_prev = w, mw, F
+        w, mw, c, F = w_cand, mw_cand, c_cand, np.minimum(F_cand, F)
+        it = it + 1
+
+        gvec = -(y * expit(-(y * (mw + c[:, None]))))
+        gw = loss_weight * _tmv(Z, gvec)
+        gc = loss_weight * gvec.sum(axis=1)
+        kkt = np.maximum(_l1_violation(gw, w, support_epsilon).max(axis=1, initial=0.0),
+                         np.abs(gc))
+        stall = np.where(np.abs(F_prev - F) <= _TOL_OBJECTIVE * np.maximum(1.0, np.abs(F)),
+                         stall + 1, 0)
+        rule = np.where(kkt <= tol_kkt, _KKT, np.where(stall >= _STALL_LIMIT, _STALL, -1))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = ((t - 1.0) / t_next)[:, None]
         wy = w + beta * (w - w_prev)
         mwy = mw + beta * (mw - mw_prev)
         t = t_next
         step *= 1.1
-    return w, c, F, kkt, kkt <= tol_kkt, it
+        rule[(rule < 0) & (it >= limit[pid])] = _MAX_ITERS
+        rule[stuck] = _NO_PROGRESS
+        live = rule < 0
+        if not live.all():
+            for code in np.unique(rule[~live & ~stuck]):
+                finish(rule == code, code)
+            keep = np.flatnonzero(live)
+            if owned:  # move the problems still running forward, in place
+                for i, j in enumerate(keep):
+                    if i != j:
+                        Z[i] = Z[j]
+                Z = Z[: keep.size]
+            else:  # the first time, copy: the caller's stack stays as it was
+                Z, owned = Z[keep], True
+            pid, y, w, mw, c, F, wy, mwy = (v[keep] for v in (pid, y, w, mw, c, F, wy, mwy))
+            t, step, kkt, stall, it = (v[keep] for v in (t, step, kkt, stall, it))
+    return out_w, out_c, out_F, out_kkt, out_kkt <= tol_kkt, out_it, out_stop
+
+
+def _subsample_stats(X, rows):
+    """:func:`_column_stats` of the B row subsamples ``X[rows[b]]``, from one
+    pass over X in column blocks.
+
+    Each block is shifted by its column means; the 0/1 row indicators of the
+    subsamples then give every subsample's shifted sums and sums of squares
+    as two matrix products, with no copy of the drawn rows. Where a
+    column's second moment exceeds its variance ``_CANCEL_RATIO`` times,
+    too many digits cancel, and its statistics are recomputed in two passes
+    over its drawn rows, so a column constant on the drawn rows still
+    counts as constant.
+    """
+    B, k = rows.shape
+    n, m = X.shape
+    R = np.zeros((B, n))
+    R[np.arange(B)[:, None], rows] = 1.0
+    mean, std = np.empty((B, m)), np.empty((B, m))
+    cancel = np.empty((B, m), dtype=bool)
+    width = max(1, _BATCH_ENTRIES // n)
+    for j in range(0, m, width):
+        block = X[:, j : j + width]
+        shift = block.mean(axis=0)
+        D = block - shift
+        s1 = (R @ D) / k
+        D *= D
+        s2 = (R @ D) / k
+        var = s2 - s1 * s1
+        mean[:, j : j + width] = shift + s1
+        std[:, j : j + width] = np.sqrt(np.maximum(var, 0.0))
+        cancel[:, j : j + width] = s2 > _CANCEL_RATIO * var
+    for b in np.flatnonzero(cancel.any(axis=1)):
+        idx = np.flatnonzero(cancel[b])
+        mean[b, idx], std[b, idx], _ = _column_stats(X[rows[b, :, None], idx])
+    keep = std > k * np.finfo(np.float64).eps * np.abs(mean)
+    return mean, std, keep
 
 
 class _ImplicitColumns:
-    """Standardized, scaled columns ``Z = ((X - mean) / std) * scale`` of a
-    wide X, built only where they are needed.
+    """Standardized, scaled columns ``Z_b = ((X[rows[b]] - mean_b) / std_b) *
+    scale_b`` of B row subsamples of a wide X, built only where needed.
 
-    :meth:`columns` builds chosen columns of Z with the same arithmetic as
-    :func:`standardize_columns`. :meth:`gradient` returns ``Z'g`` from
-    ``(scale / std) * (X'g - mean * sum(g))`` without forming Z; constant
-    columns get 0. Rounding in ``X'g`` grows like ``eps * n * |mean| / std``,
-    so the few columns whose mean exceeds ``_CANCEL_RATIO`` times their std
-    (a constant column whose std rounds to a tiny positive value among
-    them) are kept as built columns and multiplied directly.
+    :meth:`columns` builds chosen columns of one Z_b with the same
+    arithmetic as :func:`standardize_columns`. :meth:`gradient` returns
+    ``Z_b'g_b`` from ``(scale_b / std_b) * (X'g_b - mean_b * sum(g_b))``
+    without forming any Z_b, where g_b is zero on the rows b did not draw;
+    constant columns get 0. Rounding in ``X'g`` grows like
+    ``eps * n * |mean| / std``, so the few columns whose mean exceeds
+    ``_CANCEL_RATIO`` times their std are kept as built columns and
+    multiplied directly. Statistics over every row are the exact two-pass
+    ones, which cost no more than the one-pass subsample statistics.
     """
 
-    def __init__(self, X, scale):
-        self.X = X
-        self.scale = scale
-        self.mean, self.std, keep = _column_stats(X)
-        self.gain = np.zeros(X.shape[1])
-        self.gain[keep] = scale[keep] / self.std[keep]
-        self.exact = np.flatnonzero(keep & (np.abs(self.mean) > _CANCEL_RATIO * self.std))
-        self.Z_exact = self.columns(self.exact)
+    def __init__(self, X, rows, scale):
+        self.X, self.rows, self.scale = X, rows, scale
+        if rows.shape[1] == X.shape[0]:
+            stats = _column_stats(X)
+            self.mean, self.std, self.keep = (np.repeat(v[None], rows.shape[0], axis=0)
+                                              for v in stats)
+        else:
+            self.mean, self.std, self.keep = _subsample_stats(X, rows)
+        self.exact = [np.flatnonzero(keep & (np.abs(mean) > _CANCEL_RATIO * std))
+                      for mean, std, keep in zip(self.mean, self.std, self.keep)]
+        self.Z_exact = [self.columns(b, idx) for b, idx in enumerate(self.exact)]
 
-    def columns(self, idx):
-        return ((self.X[:, idx] - self.mean[idx]) / self.std[idx]) * self.scale[idx]
+    def columns(self, b, idx):
+        sub = self.X[self.rows[b, :, None], idx]
+        return ((sub - self.mean[b, idx]) / self.std[b, idx]) * self.scale[b][idx]
 
-    def gradient(self, gvec):
-        out = self.gain * (self.X.T @ gvec - self.mean * float(gvec.sum()))
-        out[self.exact] = self.Z_exact.T @ gvec
+    def gradient(self, live, gvec):
+        """``Z_b'g`` for the problems ``live``, one row of ``gvec`` each over
+        its drawn rows, from one product with X. The rest works row by row,
+        so the only m-long temporaries are one row each."""
+        G = np.zeros((live.size, self.X.shape[0]))
+        G[np.arange(live.size)[:, None], self.rows[live]] = gvec
+        out = G @ self.X
+        for row, b, g in zip(out, live, gvec):
+            row -= self.mean[b] * g.sum()
+            row *= np.divide(self.scale[b], self.std[b], out=np.zeros_like(row), where=self.keep[b])
+            row[self.exact[b]] = self.Z_exact[b].T @ g
         return out
 
 
-def _fit_l1_working_set(X, y, cfg, scale):
-    """GLMNET-style outer loop: grow an active set from KKT screening.
+def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
+    """GLMNET-style outer loop, in lockstep over the B row subsamples
+    ``X[rows[b]]`` of a wide X with labels ``y`` (B, k): grow each active
+    set from KKT screening.
 
     Columns are standardized implicitly (:class:`_ImplicitColumns`): the
-    full gradient is screened without forming Z, and only the active columns
-    are built. Constant columns get gradient 0, so they never enter the set
-    and keep weight exactly 0.
+    full gradients are screened without forming any Z, and only the active
+    columns are built. Constant columns get gradient 0, so they never enter
+    a set and keep weight exactly 0.
 
-    Each round solves the restricted problem warm-started, then checks the
-    full gradient; the worst violators join the set, at most n in the first
-    round (an L1 solution in general position has at most n nonzeros) and
-    twice as many each round after. Terminates when the full problem passes
-    the KKT check or the iteration budget runs out.
+    Each round solves the restricted problems warm-started, their active
+    columns padded with zero columns to a common width, then checks the
+    full gradients; the worst violators join each set, at most k in the
+    first round (an L1 solution in general position has at most k nonzeros)
+    and twice as many each round after. A problem finishes when it passes
+    the KKT check or its iteration budget runs out.
     """
-    n, m = X.shape
-    Z = _ImplicitColumns(X, scale)
-    w = np.zeros(m)
-    c = _initial_intercept(y)
-    # settle the intercept first so screening sees meaningful gradients
-    _, c, _, _, _, it0 = _prox_solve(
-        np.zeros((n, 0)), y, cfg.loss_weight, np.zeros(0), c,
-        cfg.max_iters, cfg.tol_kkt, cfg.support_epsilon)
-    iters_total = it0
-    active = np.zeros(0, dtype=np.int64)
-    mw = np.zeros(n)
-    kkt = math.inf
-    converged = False
-    batch = n
+    B, k = y.shape
+    lw, tol, eps = cfg.loss_weight, cfg.tol_kkt, cfg.support_epsilon
+    cols = _ImplicitColumns(X, rows, scale)
+    w = np.zeros((B, X.shape[1]))
+    # settle the intercepts first so screening sees meaningful gradients
+    _, c, _, _, _, iters, _ = _prox_solve(
+        np.zeros((B, k, 0)), y, lw, np.zeros((B, 0)), c0, cfg.max_iters, tol, eps)
+    active = [np.zeros(0, dtype=np.int64)] * B
+    mw = np.zeros((B, k))
+    kkt = np.full(B, math.inf)
+    grow = np.full(B, k)
+    live = np.arange(B)
     for _ in range(_MAX_OUTER):
-        margins = y * (mw + c)
-        gvec = -(y * expit(-margins))
-        gw = cfg.loss_weight * Z.gradient(gvec)
-        gc = cfg.loss_weight * float(gvec.sum())
-        viol = _l1_violation(gw, w, cfg.support_epsilon)
-        kkt = max(float(viol.max()), abs(gc))
-        if kkt <= cfg.tol_kkt:
-            converged = True
+        gvec = -(y[live] * expit(-(y[live] * (mw[live] + c[live, None]))))
+        gw = cols.gradient(live, gvec)
+        gw *= lw
+        gc = lw * gvec.sum(axis=1)
+        # off the active sets the weights are zero and the residual is the
+        # excess of |gw| over 1, computed in place: the rows are m long
+        on_active = [gw[i, active[b]] for i, b in enumerate(live)]
+        viol = np.abs(gw, out=gw)
+        viol -= 1.0
+        np.maximum(viol, 0.0, out=viol)
+        for i, b in enumerate(live):
+            viol[i, active[b]] = _l1_violation(on_active[i], w[b, active[b]], eps)
+        kkt[live] = np.maximum(viol.max(axis=1), np.abs(gc))
+        going = (kkt[live] > tol) & (iters[live] < cfg.max_iters)
+        live, viol = live[going], viol[going]
+        if not live.size:
             break
-        if iters_total >= cfg.max_iters:
-            break
-        outside = viol.copy()
-        outside[active] = 0.0
-        candidates = np.flatnonzero(outside > cfg.tol_kkt)
-        if candidates.size > batch:
-            top = np.argpartition(outside[candidates], -batch)[-batch:]
-            candidates = candidates[top]
-        batch *= 2
-        if candidates.size:
-            active = np.union1d(active, candidates)
-        Za = Z.columns(active)
-        wa, c, _, _, _, it_inner = _prox_solve(
-            Za, y, cfg.loss_weight, w[active], c,
-            max(cfg.max_iters - iters_total, 1), 0.5 * cfg.tol_kkt,
-            cfg.support_epsilon)
-        iters_total += it_inner
-        w[:] = 0.0
-        w[active] = wa
-        mw = Za @ wa
-    objective = cfg.loss_weight * float(np.logaddexp(0.0, -(y * (mw + c))).sum())
-    objective += float(np.abs(w).sum())
-    return w, c, objective, kkt, converged, iters_total
+        for outside, b in zip(viol, live):
+            outside[active[b]] = 0.0
+            candidates = np.flatnonzero(outside > tol)
+            if candidates.size > grow[b]:
+                top = np.argpartition(outside[candidates], -grow[b])[-grow[b]:]
+                candidates = candidates[top]
+            if candidates.size:
+                active[b] = np.union1d(active[b], candidates)
+        grow[live] = np.minimum(2 * grow[live], X.shape[1])  # no screen admits more
+        Za = np.zeros((live.size, k, max(active[b].size for b in live)))
+        wa = np.zeros((live.size, Za.shape[2]))
+        for i, b in enumerate(live):
+            Za[i, :, : active[b].size] = cols.columns(b, active[b])
+            wa[i, : active[b].size] = w[b, active[b]]
+        wa, c[live], _, _, _, it_inner, _ = _prox_solve(
+            Za, y[live], lw, wa, c[live], np.maximum(cfg.max_iters - iters[live], 1),
+            0.5 * tol, eps)
+        iters[live] += it_inner
+        for i, b in enumerate(live):
+            w[b] = 0.0
+            w[b, active[b]] = wa[i, : active[b].size]
+        mw[live] = _mv(Za, wa)
+    objective = _loss(y, mw, c, lw) + np.abs(w).sum(axis=1)
+    return w, c, objective, kkt, kkt <= tol, iters
+
+
+def lockstep_batch_size(k, m, materialized=False):
+    """Problems per lockstep batch for fits on k rows and m columns: as many
+    as keep one batch array within ``_BATCH_ENTRIES`` floats, at most
+    ``_MAX_BATCH``. The array is the stack of k x m matrices of narrow fits,
+    or of ``materialized`` ones (a caller that builds each problem's
+    matrix), and otherwise the m-long rows of wide fits."""
+    wide = m >= _WORKING_SET_MIN_COLS and not materialized
+    return min(_MAX_BATCH, max(1, _BATCH_ENTRIES // max(1, m if wide else k * m)))
+
+
+def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSolution]:
+    """L1 fits of the row subsamples ``(X[rows[b]], y[rows[b]])``, in lockstep.
+
+    ``X`` (n, m) and ``y`` (n,) are float64 inputs already checked by the
+    :class:`Dataset` rules; ``rows`` (B, k) holds each subsample's sorted row
+    indices and ``scale``, if given, each fit's m column multipliers (B
+    arrays, or one (B, m) array).
+    Fit b answers ``fit_l1_logistic(X[rows[b]], y[rows[b]], config,
+    scale[b])``: to the bit on the narrow path, and up to the padding of
+    active sets (see the module docstring) on the wide one.
+    """
+    B, m = rows.shape[0], X.shape[1]
+    y = y[rows]
+    scale = [np.ones(m)] * B if scale is None else scale
+    c0 = np.array([_initial_intercept(v) for v in y])
+    if m >= _WORKING_SET_MIN_COLS:
+        w, c, obj, kkt, conv, iters = _fit_l1_working_set(X, y, rows, config, scale, c0)
+    else:
+        Z = np.zeros((B, rows.shape[1], m))
+        keep = np.zeros((B, m), dtype=bool)
+        for b in range(B):
+            Zb, _, _, keep[b] = standardize_columns(X[rows[b]])
+            Z[b][:, keep[b]] = Zb * scale[b][keep[b]]
+        w, c, obj, kkt, conv, iters, _ = _prox_solve(
+            Z, y, config.loss_weight, np.zeros((B, m)), c0,
+            config.max_iters, config.tol_kkt, config.support_epsilon)
+        w[~keep] = 0.0
+    return [SolverSolution(w=w[b], c=c[b], objective=obj[b], kkt_residual=kkt[b],
+                           converged=bool(conv[b]), n_iters=int(iters[b])) for b in range(B)]
 
 
 def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolution:
@@ -397,21 +594,8 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
             raise ValueError(f"column_scale must have shape ({m},)")
         if not np.isfinite(column_scale).all() or (column_scale <= 0).any():
             raise ValueError("column_scale entries must be positive and finite")
-    if m >= _WORKING_SET_MIN_COLS:
-        scale = np.ones(m) if column_scale is None else column_scale
-        w, c, obj, kkt, conv, iters = _fit_l1_working_set(X, y, config, scale)
-        return SolverSolution(w=w, c=c, objective=obj, kkt_residual=kkt,
-                              converged=conv, n_iters=iters)
-    Z, _, _, keep = standardize_columns(X)
-    if column_scale is not None:
-        Z = Z * column_scale[keep]
-    w_kept, c, obj, kkt, conv, iters = _prox_solve(
-        Z, y, config.loss_weight, np.zeros(Z.shape[1]), _initial_intercept(y),
-        config.max_iters, config.tol_kkt, config.support_epsilon)
-    w = np.zeros(m)
-    w[keep] = w_kept
-    return SolverSolution(w=w, c=c, objective=obj, kkt_residual=kkt,
-                          converged=conv, n_iters=iters)
+        column_scale = column_scale[None]
+    return fit_l1_batch(X, y, np.arange(X.shape[0])[None], config, column_scale)[0]
 
 
 def fit_l2_logistic(X, y, lambda_ridge) -> SolverSolution:
@@ -422,12 +606,22 @@ def fit_l2_logistic(X, y, lambda_ridge) -> SolverSolution:
     2004): with the thin SVD ``Z = U S V'`` the minimizer is ``w = V b``, so
     Newton runs on b and the intercept, at most n + 1 coordinates. Stops when
     ``Z'g + lambda_ridge * w`` and the intercept gradient fall to 1e-6.
+    Constant columns get weight exactly 0.
     """
     X, y = _validate_problem(X, y)
+    Z, _, _, keep = standardize_columns(X)
+    sol = fit_l2_standardized(Z, y, lambda_ridge)
+    w = np.zeros(X.shape[1])
+    w[keep] = sol.w
+    return replace(sol, w=w)
+
+
+def fit_l2_standardized(Z, y, lambda_ridge) -> SolverSolution:
+    """:func:`fit_l2_logistic` on columns Z already standardized, y float64
+    in {+1, -1}; the weights are over the columns of Z."""
     lam = float(lambda_ridge)
     if not (lam >= 0 and math.isfinite(lam)):
         raise ValueError("lambda_ridge must be non-negative and finite")
-    Z, _, _, keep = standardize_columns(X)
     # Z' = V S U'; Z' reaches LAPACK without a copy, half the time at 100 x 27884
     V, sv, Ut = np.linalg.svd(Z.T, full_matrices=False)
     r = int((sv > sv.max(initial=0.0) * max(Z.shape) * np.finfo(np.float64).eps).sum())
@@ -460,7 +654,5 @@ def fit_l2_logistic(X, y, lambda_ridge) -> SolverSolution:
             step *= 0.5
         theta = theta + step * d
         f = objective(theta)
-    w = np.zeros(X.shape[1])
-    w[keep] = w_kept
-    return SolverSolution(w=w, c=float(theta[r]), objective=f, kkt_residual=kkt,
+    return SolverSolution(w=w_kept, c=float(theta[r]), objective=f, kkt_residual=kkt,
                           converged=kkt <= _L2_TOL_KKT, n_iters=iters)

@@ -7,9 +7,9 @@ L1 logistic solver on the averaged matrix, and credits every picked feature
 of every selected cluster. Scores are selection counts out of K.
 
 ``resample`` is the loop this selector shares with the randomized L1
-baseline: iteration k always uses the random stream derived from
-(master_seed, k), so results are independent of thread count and iteration
-order.
+baseline: iteration k always draws from the random stream derived from
+(master_seed, k), and the fits of a batch of iterations run as one lockstep
+solve, so results are independent of thread count and iteration order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
-from .solver import SolverConfig, fit_l1_logistic
+from .solver import SolverConfig, fit_l1_batch, lockstep_batch_size
+from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name here
 
 # loss weight giving useful sparsity on cluster-averaged fits at the default
 # alpha; chosen on synthetic data, see README
@@ -281,33 +282,39 @@ def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation:
     return SubsampleDraw(rows=rows, picked=picked)
 
 
-def resample(p: int, K: int, master_seed: int, iteration, threads: int = 1) -> StabilityScores:
+def resample(p: int, K: int, master_seed: int, draw, fit, batch: int,
+             threads: int = 1) -> StabilityScores:
     """Run K resampled fits and count how often each feature is selected.
 
-    Iteration k calls ``iteration(gen)`` with the generator of
-    ``derive_stream(master_seed, k)``; it returns (selected feature indices,
-    SolverSolution of its fit). Aborts when more than _MAX_FAILURE_FRACTION
-    of the fits fail to converge.
+    Iteration k first makes its random choices, ``draw(gen)`` with the
+    generator of ``derive_stream(master_seed, k)``. The iterations then go
+    to ``fit`` in batches of ``batch`` consecutive k: ``fit(draws)`` solves
+    the batch's problems in one lockstep call and returns (selected feature
+    indices, SolverSolution) per draw. Aborts when more than
+    _MAX_FAILURE_FRACTION of the fits fail to converge.
 
-    ``threads > 1`` runs the iterations on a thread pool. Every iteration
-    owns its stream, so the counts never depend on the thread count. On a
-    2-vCPU machine with OpenBLAS, 2 threads gave no speed-up over 1 for
-    either selector at full scale (rss K=50: 0.54-0.63 s on 1 thread,
-    0.57-0.66 s on 2).
+    ``threads > 1`` runs the batches on a thread pool. Every iteration owns
+    its stream and the batches do not depend on the thread count, so
+    neither do the counts. It is no speed-up: on a 2-vCPU machine with
+    OpenBLAS at full scale, rss K=50 runs four batches (0.47-0.57 s on 1
+    thread, 0.49-0.55 s on 2) and rand-l1 K=70 five, which 2 threads made
+    slower (0.93-1.14 s on 1 thread, 1.09-1.26 s on 2).
     """
     if threads < 1:
         raise ValueError("threads must be positive")
 
-    def one(k):
-        selected, sol = iteration(derive_stream(master_seed, k).generator())
+    def one(start):
+        draws = [draw(derive_stream(master_seed, k).generator())
+                 for k in range(start, min(start + batch, K))]
         # keep no weight vector: K of them would hold K*p floats at once
-        return selected, sol.converged, sol.kkt_residual
+        return [(selected, sol.converged, sol.kkt_residual) for selected, sol in fit(draws)]
 
+    starts = range(0, K, batch)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(K)))
+            results = [r for part in pool.map(one, starts) for r in part]
     else:
-        results = [one(k) for k in range(K)]
+        results = [r for start in starts for r in one(start)]
     counts = np.zeros(p, dtype=np.int64)
     failures = []
     for k, (selected, converged, kkt) in enumerate(results):
@@ -345,19 +352,31 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
                       "per-cluster sampling without blocks", stacklevel=2)
     quotas = cluster_quotas(parcellation, config.beta)
     members = parcellation.members()
-    X, y = dataset.X, dataset.y
+    X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
-    def iteration(gen):
-        draw = draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, members, cover)
-        averaged = average_supervoxels(X, draw.picked, rows=draw.rows)
-        sol = fit_l1_logistic(averaged, y[draw.rows], config.solver)
-        # credit every picked feature of every selected cluster
-        chosen = [draw.picked[g] for g in sol.support(eps)]
-        selected = np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
-        return selected, sol
+    def draw(gen):
+        return draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, members, cover)
 
-    return resample(dataset.p, config.K, config.master_seed, iteration, threads)
+    def fit(draws):
+        # the averaged matrices, stacked as row blocks of one matrix, are
+        # row subsamples of it
+        blocks = np.arange(len(draws) * draws[0].rows.size).reshape(len(draws), -1)
+        averaged = np.empty((blocks.size, parcellation.q))
+        for rows, d in zip(blocks, draws):
+            averaged[rows] = average_supervoxels(X, d.picked, rows=d.rows)
+        labels = np.concatenate([y[d.rows] for d in draws])
+        sols = fit_l1_batch(averaged, labels, blocks, config.solver)
+        return [(credited(d, sol), sol) for d, sol in zip(draws, sols)]
+
+    def credited(d, sol):
+        # every picked feature of every selected cluster
+        chosen = [d.picked[g] for g in sol.support(eps)]
+        return np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
+
+    batch = lockstep_batch_size(round_nearest(config.alpha * dataset.n), parcellation.q,
+                                materialized=True)
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, batch, threads)
 
 
 def threshold_scores(scores: StabilityScores, tau: float) -> np.ndarray:

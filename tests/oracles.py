@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import expit
 
 
 def logistic_objective(Z, y, loss_weight, w, c, l1=True, ridge=0.0):
@@ -99,19 +100,140 @@ def l1_dense_grid_1d(x_col, y, loss_weight, span=20.0, resolution=1e-5):
     return float(grid[np.argmin(total)])
 
 
-def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
+def _soft_threshold_reference(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _l1_violation_reference(gw, w, eps):
+    at_zero = np.abs(w) <= eps
+    return np.where(at_zero, np.maximum(np.abs(gw) - 1.0, 0.0), np.abs(gw + np.sign(w)))
+
+
+def _newton_intercept_reference(base, y, loss_weight, c, steps=2):
+    """Damped Newton steps on the intercept with the weights held fixed.
+
+    ``base`` are the margins without the intercept term. Returns the new
+    intercept and the weighted loss there. Never increases the loss.
+    """
+
+    def phi(cc):
+        return loss_weight * float(np.logaddexp(0.0, -(y * (base + cc))).sum())
+
+    f0 = phi(c)
+    for _ in range(steps):
+        s = expit(-(y * (base + c)))
+        g = -loss_weight * float((y * s).sum())
+        if abs(g) < 1e-18:
+            break
+        h = loss_weight * float((s * (1.0 - s)).sum())
+        d = -g / max(h, 1e-12)
+        d = min(max(d, -20.0), 20.0)
+        f1 = phi(c + d)
+        halvings = 0
+        while f1 > f0 and halvings < 30:
+            d *= 0.5
+            f1 = phi(c + d)
+            halvings += 1
+        if f1 > f0:
+            break
+        c += d
+        f0 = f1
+    return c, f0
+
+
+def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
+    """The single-problem L1 loop the package's lockstep kernel replaced,
+    kept verbatim as its reference: accelerated proximal gradient on
+    standardized columns.
+
+    Minimizes ``loss_weight * L(w, c) + ||w||_1`` with the intercept refreshed
+    by its own Newton step every iteration. Momentum restarts whenever the
+    accepted objective would increase, so the accepted objective never
+    increases.
+
+    Returns ``(w, c, objective, kkt, converged, iters)``.
+    """
+    n = y.size
+    w = np.asarray(w0, dtype=np.float64).copy()
+    c = float(c0)
+    mw = Z @ w
+
+    def loss(margins):
+        return loss_weight * float(np.logaddexp(0.0, -margins).sum())
+
+    step = 1.0 / (0.25 * loss_weight * n + 1e-12)
+
+    def attempt(from_w, from_mw):
+        nonlocal step
+        my = y * (from_mw + c)
+        gvec = -(y * expit(-my))
+        f_from = loss(my)
+        gw = loss_weight * (Z.T @ gvec)
+        while True:
+            w_cand = _soft_threshold_reference(from_w - step * gw, step)
+            mw_cand = Z @ w_cand
+            d = w_cand - from_w
+            f_cand = loss(y * (mw_cand + c))
+            bound = f_from + float(gw @ d) + float(d @ d) / (2.0 * step)
+            if f_cand <= bound + 1e-12 * max(1.0, abs(f_from)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                w_cand = from_w.copy()
+                mw_cand = from_mw
+                break
+        c_cand, floss = _newton_intercept_reference(mw_cand, y, loss_weight, c)
+        return w_cand, mw_cand, c_cand, floss + float(np.abs(w_cand).sum())
+
+    F = loss(y * (mw + c)) + float(np.abs(w).sum())
+    t = 1.0
+    wy, mwy = w.copy(), mw.copy()
+    kkt = math.inf
+    stall = 0
+    it = 0
+    while it < max_iters:
+        w_cand, mw_cand, c_cand, F_cand = attempt(wy, mwy)
+        slack = 1e-12 * max(1.0, abs(F))
+        if F_cand > F + slack:
+            # momentum overshot: restart from the last accepted point
+            t = 1.0
+            w_cand, mw_cand, c_cand, F_cand = attempt(w, mw)
+            if F_cand > F + slack:
+                break  # numerical floor, cannot make progress
+        w_prev, mw_prev, F_prev = w, mw, F
+        w, mw, c, F = w_cand, mw_cand, c_cand, min(F_cand, F)
+        it += 1
+
+        gvec = -(y * expit(-(y * (mw + c))))
+        gw = loss_weight * (Z.T @ gvec)
+        gc = loss_weight * float(gvec.sum())
+        kkt = max(float(_l1_violation_reference(gw, w, support_epsilon).max(initial=0.0)), abs(gc))
+        if kkt <= tol_kkt:
+            break
+
+        if abs(F_prev - F) <= 1e-14 * max(1.0, abs(F)):
+            stall += 1
+            if stall >= 10:
+                break
+        else:
+            stall = 0
+
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        wy = w + beta * (w - w_prev)
+        mwy = mw + beta * (mw - mw_prev)
+        t = t_next
+        step *= 1.1
+    return w, c, F, kkt, kkt <= tol_kkt, it
+
+
+def fit_l1_working_set_reference(X, y, cfg, column_scale):
     """The wide L1 fit as first shipped: build the whole standardized, scaled
     matrix Z, then grow a working set from KKT screening of ``Z'g``, adding at
-    most 512 violators per round.
-
-    ``prox_solve`` is the package's restricted solver, passed in so this file
-    still imports nothing from the package: the reference pins down the
-    explicit standardization and the screening, while the restricted solver
-    has its own oracles above. Returns ``(w, c, objective, kkt, converged,
-    iters)`` with ``w`` over all columns of X.
+    most 512 violators per round, each restricted problem solved by
+    :func:`prox_solve_reference`. Returns ``(w, c, objective, kkt,
+    converged, iters)`` with ``w`` over all columns of X.
     """
-    from scipy.special import expit
-
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mean = X.mean(axis=0)
@@ -121,16 +243,12 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
     if column_scale is not None:
         Z = Z * np.asarray(column_scale, dtype=np.float64)[keep]
 
-    def l1_violation(gw, w, eps):
-        at_zero = np.abs(w) <= eps
-        return np.where(at_zero, np.maximum(np.abs(gw) - 1.0, 0.0), np.abs(gw + np.sign(w)))
-
     n_pos = int((y > 0).sum())
     n_neg = y.size - n_pos
     c = math.log(n_pos / n_neg) if n_pos and n_neg else 0.0
     n, m = Z.shape
     w = np.zeros(m)
-    _, c, _, _, _, it0 = prox_solve(
+    _, c, _, _, _, it0 = prox_solve_reference(
         Z[:, :0], y, cfg.loss_weight, np.zeros(0), c,
         cfg.max_iters, cfg.tol_kkt, cfg.support_epsilon)
     iters_total = it0
@@ -143,7 +261,7 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
         gvec = -(y * expit(-margins))
         gw = cfg.loss_weight * (Z.T @ gvec)
         gc = cfg.loss_weight * float(gvec.sum())
-        viol = l1_violation(gw, w, cfg.support_epsilon)
+        viol = _l1_violation_reference(gw, w, cfg.support_epsilon)
         kkt = max(float(viol.max()), abs(gc))
         if kkt <= cfg.tol_kkt:
             converged = True
@@ -158,7 +276,7 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale, prox_solve):
             candidates = candidates[top]
         if candidates.size:
             active = np.union1d(active, candidates)
-        wa, c, _, _, _, it_inner = prox_solve(
+        wa, c, _, _, _, it_inner = prox_solve_reference(
             Z[:, active], y, cfg.loss_weight, w[active], c,
             max(cfg.max_iters - iters_total, 1), 0.5 * cfg.tol_kkt,
             cfg.support_epsilon)

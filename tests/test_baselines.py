@@ -13,6 +13,7 @@ from rss_select.baselines import (
     ttest_scores,
 )
 from rss_select.data import Dataset, derive_stream
+from rss_select import solver
 from rss_select.solver import SolverConfig, fit_l1_logistic, standardize_columns
 from rss_select.stability import draw_row_subsample
 
@@ -208,6 +209,26 @@ def test_randomized_l1_thread_count_is_invisible():
         randomized_l1(ds, config, threads=1).counts,
         randomized_l1(ds, config, threads=4).counts,
     )
+
+
+@pytest.mark.parametrize("p", [10, 1100])
+def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, p):
+    """With lockstep batches of 4 and K=10 (batches of 4, 4 and 2), every
+    thread count gives the counts of one fit_l1_logistic per iteration, on
+    the narrow path and on the wide one."""
+    rng = np.random.default_rng(16)
+    y = np.array([1] * 15 + [-1] * 15)
+    X = rng.normal(size=(30, p)) + 3.0 * rng.normal(size=p)
+    X[:, :3] += np.outer(y, [1.0, -0.8, 0.6])
+    ds = _dataset(X, y)
+    config = RandL1Config(solver=SolverConfig(loss_weight=0.8), K=10, master_seed=2)
+    per_problem = p if p >= 1024 else 15 * p
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * per_problem)
+    assert solver.lockstep_batch_size(15, p) == 4
+    want = _rl1_manual_counts(ds, config)
+    assert want[:3].sum() > 0
+    for threads in (1, 2, 3):
+        assert_array_equal(randomized_l1(ds, config, threads=threads).counts, want)
 
 
 def test_randomized_l1_widespread_non_convergence_aborts():

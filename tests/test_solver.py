@@ -312,16 +312,16 @@ def test_implicit_gradient_matches_explicit_columns():
     X[:, 8] = 0.0
     X[:, 9] = 1e5 + 1e-3 * rng.normal(size=30)  # |mean| / std is about 1e8
     scale = rng.uniform(0.5, 1.0, size=50)
-    cols = solver._ImplicitColumns(X, scale)
-    assert cols.std[7] > 0.0 and cols.exact.tolist() == [9]
+    cols = solver._ImplicitColumns(X, np.arange(30)[None], scale[None])  # one fit, every row
+    assert cols.std[0, 7] > 0.0 and cols.exact[0].tolist() == [9]
     mean, std = X.mean(axis=0), X.std(axis=0)
     keep = std > 30 * np.finfo(np.float64).eps * np.abs(mean)
     assert keep.sum() == 48
     Z = np.zeros_like(X)
     Z[:, keep] = ((X[:, keep] - mean[keep]) / std[keep]) * scale[keep]
-    np.testing.assert_array_equal(cols.columns(np.flatnonzero(keep)), Z[:, keep])
+    np.testing.assert_array_equal(cols.columns(0, np.flatnonzero(keep)), Z[:, keep])
     gvec = rng.uniform(0.0, 1.0, size=30)  # sum(g) is about 15
-    got = cols.gradient(gvec)
+    got = cols.gradient(np.array([0]), gvec[None])[0]
     np.testing.assert_allclose(got, Z.T @ gvec, rtol=0, atol=1e-10)
     assert got[7] == 0.0 and got[8] == 0.0
 
@@ -356,8 +356,7 @@ def test_working_set_path_matches_explicit_reference(instance):
     X, y, loss_weight, scale, const = instance
     cfg = SolverConfig(loss_weight=loss_weight, tol_kkt=1e-7)
     sol = fit_l1_logistic(X, y, cfg, column_scale=scale)
-    want_w, want_c, _, _, want_conv, _ = oracles.fit_l1_working_set_reference(
-        X, y, cfg, scale, solver._prox_solve)
+    want_w, want_c, _, _, want_conv, _ = oracles.fit_l1_working_set_reference(X, y, cfg, scale)
     assert want_conv and sol.converged
     assert sol.kkt_residual <= cfg.tol_kkt
     np.testing.assert_array_equal(sol.support(cfg.support_epsilon),
@@ -365,3 +364,121 @@ def test_working_set_path_matches_explicit_reference(instance):
     np.testing.assert_allclose(sol.w, want_w, rtol=0, atol=1e-5)
     assert sol.c == pytest.approx(want_c, abs=1e-5)
     assert (sol.w[const] == 0.0).all()
+
+
+# --------------------------------------------------------- lockstep kernel
+
+
+def _stack(rng, B, n, a, separable=False):
+    """B equal-shape problems: columns of mixed scale, labels from a noisy
+    (or, if ``separable``, exact) linear rule."""
+    Z = rng.normal(size=(B, n, a)) * rng.uniform(0.2, 3.0, size=(B, 1, a))
+    score = Z[:, :, 0] if a and separable else rng.normal(size=(B, n))
+    if a and not separable:
+        score = score + Z[:, :, 0]
+    y = np.where(score > 0, 1.0, -1.0)
+    y[:, 0] = 1.0  # at least one of each class
+    y[:, -1] = -1.0 if n > 1 else y[:, -1]
+    return Z, y
+
+
+@st.composite
+def _lockstep_instances(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B, n, a = draw(st.integers(1, 6)), draw(st.integers(2, 30)), draw(st.integers(0, 12))
+    Z, y = _stack(rng, B, n, a, separable=draw(st.booleans()))
+    w0 = rng.normal(size=(B, a)) * (rng.random((B, a)) < draw(st.sampled_from([0.0, 0.5])))
+    return (Z, y, draw(st.floats(0.1, 20.0)), w0, rng.normal(size=B),
+            draw(st.integers(1, 300)), draw(st.sampled_from([1e-4, 1e-7, 1e-10, 1e-14])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lockstep_instances())
+def test_lockstep_kernel_replays_reference_loop(instance):
+    """Every problem of a stack gets, to the bit, what the single-problem loop
+    gives it on its own: weights, intercept, objective, residual, flag and
+    iteration count. Tight tolerances, separable labels and low caps drive
+    problems into the stall and iteration-cap rules too."""
+    Z, y, lw, w0, c0, cap, tol = instance
+    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
+    for b in range(Z.shape[0]):
+        ww, wc, wobj, wkkt, wconv, wit = oracles.prox_solve_reference(
+            Z[b], y[b], lw, w0[b], c0[b], cap, tol, 1e-8)
+        assert w[b].tobytes() == ww.tobytes()
+        assert (c[b], obj[b], kkt[b], bool(conv[b]), iters[b]) == (wc, wobj, wkkt, wconv, wit)
+        assert (solver._STOP_RULES[stop[b]] == "kkt") == wconv
+        if solver._STOP_RULES[stop[b]] == "max iters":
+            assert wit == cap
+
+
+def test_lockstep_result_ignores_batch_mates():
+    """A problem's bytes do not depend on which problems share its stack, on
+    their number, order, or per-problem iteration caps."""
+    rng = np.random.default_rng(21)
+    Z, y = _stack(rng, 9, 24, 10)
+    caps = rng.integers(20, 400, size=9)
+    alone = [solver._prox_solve(Z[b:b + 1], y[b:b + 1], 1.3, np.zeros((1, 10)), np.zeros(1),
+                                caps[b:b + 1], 1e-9, 1e-8) for b in range(9)]
+    for order in (np.arange(9), rng.permutation(9), np.array([4, 0, 7])):
+        got = solver._prox_solve(Z[order], y[order], 1.3, np.zeros((order.size, 10)),
+                                 np.zeros(order.size), caps[order], 1e-9, 1e-8)
+        for i, b in enumerate(order):
+            for part, want in zip(got, alone[b]):
+                assert part[i].tobytes() == want[0].tobytes()
+
+
+def _wide_subsamples(seed, B, n=36, m=1100, k=18):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m)) * rng.uniform(0.5, 3.0, size=m) + 5.0 * rng.normal(size=m)
+    Z = (X[:, :2] - X[:, :2].mean(axis=0)) / X[:, :2].std(axis=0)
+    y = np.where(Z[:, 0] - Z[:, 1] + 0.2 * rng.normal(size=n) > 0, 1.0, -1.0)
+    rows = np.sort(np.stack([rng.choice(n, size=k, replace=False) for _ in range(B)]), axis=1)
+    return X, y, rows, rng.uniform(0.5, 1.0, size=(B, m))
+
+
+def test_subsample_stats_match_two_pass_statistics():
+    """One-pass statistics over the row indicators agree with the two-pass
+    ones on the drawn rows, also on offset and near-constant columns; the
+    constant ones (exactly, or up to rounding, on the drawn rows) are
+    recomputed in two passes and count as constant."""
+    X, _, rows, _ = _wide_subsamples(5, 4)
+    X[:, 10] = 1e5 + 1e-3 * np.random.default_rng(1).normal(size=X.shape[0])
+    X[:, 11] = 0.0
+    X[rows[0], 12] = 4.2  # constant on subsample 0 only
+    X[rows[1], 13] = X[:, 13].mean()  # constant on subsample 1, at the shift
+    mean, std, keep = solver._subsample_stats(X, rows)
+    for b in range(4):
+        want_mean, want_std, want_keep = solver._column_stats(X[rows[b]])
+        np.testing.assert_array_equal(keep[b], want_keep)
+        np.testing.assert_allclose(mean[b], want_mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(std[b, want_keep], want_std[want_keep], rtol=1e-9)
+    assert not keep[:, 11].any() and not keep[0, 12] and not keep[1, 13]
+    assert keep[1:, 12].all() and keep[[0, 2, 3], 13].all()
+
+
+def test_wide_batch_matches_single_fits():
+    """Each wide fit of a lockstep batch has the support of its own
+    fit_l1_logistic on the drawn rows and the same objective to 1e-11, and
+    a column constant on its drawn rows only gets weight exactly 0.
+
+    The weights agree only to the solver tolerance: the one-pass column
+    statistics and the padded active sets differ from the single fit in the
+    last bits, which can move the iteration at which a fit crosses its KKT
+    tolerance by one (on this instance one fit moves by 2.2e-6, the others
+    by 1e-10 or less)."""
+    X, y, rows, scale = _wide_subsamples(7, 6)
+    cfg = SolverConfig(loss_weight=0.8)
+    chosen = [b for b, sol in enumerate(solver.fit_l1_batch(X, y, rows, cfg, scale))
+              if sol.w[0] != 0.0]
+    assert chosen
+    X[rows[chosen[0]], 0] = 2.5  # a selected column, now constant on one subsample
+    sols = solver.fit_l1_batch(X, y, rows, cfg, scale)
+    for b, sol in enumerate(sols):
+        want = fit_l1_logistic(X[rows[b]], y[rows[b]], cfg, column_scale=scale[b])
+        assert sol.converged and want.converged
+        np.testing.assert_array_equal(sol.support(cfg.support_epsilon),
+                                      want.support(cfg.support_epsilon))
+        assert sol.objective == pytest.approx(want.objective, rel=1e-11)
+        np.testing.assert_allclose(sol.w, want.w, rtol=0, atol=1e-5)
+        assert sol.c == pytest.approx(want.c, abs=1e-5)
+    assert sols[chosen[0]].w[0] == 0.0
