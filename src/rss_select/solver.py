@@ -25,9 +25,10 @@ until the optimality conditions hold over all columns. Wide fits
 standardize implicitly: column statistics of all B subsamples come from one
 pass over X, the screens are one product of X with the residuals (zero on
 the rows a subsample did not draw), and only active columns are ever
-built. Active sets of different sizes are padded with zero columns, so a
-wide result can move in the last digits with the other problems of its
-batch.
+built. A wide fit can therefore differ in the last digits from the same
+fit made alone, as one-pass statistics round differently from two-pass
+ones and active sets of different sizes are padded with zero columns; the
+difference can move the iteration at which it meets its tolerance.
 
 The ridge fit is exact damped Newton in the row space of the standardized
 matrix: the minimizer lies in the span of its rows, so Newton runs on at
@@ -301,7 +302,8 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             floor = st[todo] < _MIN_STEP
             if floor.any():
                 stay = todo[floor]  # no step left: keep the starting point
-                w_cand[stay], mw_cand[stay], f_cand[stay] = from_w[stay], from_mw[stay], f_from[stay]
+                w_cand[stay], mw_cand[stay] = from_w[stay], from_mw[stay]
+                f_cand[stay] = f_from[stay]
                 todo = todo[~floor]
                 if not todo.size:
                     break
@@ -537,8 +539,8 @@ def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSol
     indices and ``scale``, if given, each fit's m column multipliers (B
     arrays, or one (B, m) array).
     Fit b answers ``fit_l1_logistic(X[rows[b]], y[rows[b]], config,
-    scale[b])``: to the bit on the narrow path, and up to the padding of
-    active sets (see the module docstring) on the wide one.
+    scale[b])``: to the bit on the narrow path, and to the solver tolerance
+    on the wide one (see the module docstring).
     """
     B, m = rows.shape[0], X.shape[1]
     y = y[rows]
