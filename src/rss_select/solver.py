@@ -16,18 +16,21 @@ stops. A single fit is a stack of one. The stacked products are
 products and sums of each problem on its own bit for bit, so a problem's
 result does not depend on the problems that share its stack.
 
-``fit_l1_batch`` fits B row subsamples of one matrix in lockstep; it is
-what ``fit_l1_logistic`` (B = 1) and both resampling selectors call. Narrow
-problems are standardized one by one; a constant column becomes a zero
-column, which stays at weight 0. Wide problems take a working-set strategy:
-solve on small active sets, then screen the full gradients for violators
-until the optimality conditions hold over all columns. Wide fits
-standardize implicitly: column statistics of all B subsamples come from one
-pass over X, the screens are one product of X with the residuals (zero on
-the rows a subsample did not draw), and only active columns are ever
-built. A wide fit can therefore differ in the last digits from the same
-fit made alone, as one-pass statistics round differently from two-pass
-ones and active sets of different sizes are padded with zero columns; the
+``fit_l1_batch`` fits any number of row subsamples of one matrix; it is
+what ``fit_l1_logistic`` (one subsample) and both resampling selectors
+call, and the only code that decides how many problems share a kernel
+call: as many consecutive ones as keep one batch array within 4 MiB.
+Narrow problems are gathered and standardized as one stack; a constant
+column becomes a zero column, which stays at weight 0. Wide problems take
+a working-set strategy: solve on small active sets, then screen the full
+gradients for violators until the optimality conditions hold over all
+columns. Wide fits standardize implicitly: column statistics of all the
+subsamples of a kernel call come from one pass over X, the screens are
+one product of X with the residuals (zero on the rows a subsample did not
+draw), and only active columns are ever built. A wide fit can therefore
+differ in the last digits from the same fit made alone, or in another
+kernel call, as one-pass statistics round differently from two-pass ones
+and active sets of different sizes are padded with zero columns; the
 difference can move the iteration at which it meets its tolerance.
 
 The ridge fit is exact damped Newton in the row space of the standardized
@@ -53,15 +56,11 @@ _WORKING_SET_MIN_COLS = 1024
 # column whose second moment exceeds its variance this many times has its
 # statistics recomputed in two passes (see _subsample_stats)
 _CANCEL_RATIO = 1e4
-# float64 entries (4 MiB) per lockstep batch array: narrow problems stack
-# their n x m matrices, wide ones their m-long rows (see
-# lockstep_batch_size), and column statistics read X in blocks of this size
+# float64 entries (4 MiB) per lockstep batch array, which sets how many
+# problems fit_l1_batch puts in one kernel call: narrow problems stack their
+# k x m matrices, wide ones their m-long rows; column statistics read X in
+# blocks of this size
 _BATCH_ENTRIES = 1 << 19
-# most problems per lockstep batch: a batch runs until its slowest problem
-# stops, and a larger one holds more memory (a wide batch also pads its
-# active columns, k x a per problem); a cap of 32 raised the README tour's
-# peak memory by 5%
-_MAX_BATCH = 16
 _MAX_OUTER = 100
 _MIN_STEP = 1e-18
 _STALL_LIMIT = 10
@@ -105,16 +104,17 @@ class SolverConfig:
             raise ValueError("tolerances must be non-negative (tol_kkt positive)")
 
 
-def _column_stats(X):
-    """Column mean, population std and the mask of non-constant columns.
+def _column_stats(X, axis=0):
+    """Column mean, population std and the mask of non-constant columns of
+    a matrix, or with ``axis=1`` of each matrix of a stack (B, n, m).
 
     A column counts as constant when its std is within rounding of zero for
     its mean, ``std <= n * eps * |mean|``: n copies of one value can give a
     std of about eps * |mean| rather than exactly 0.
     """
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # ddof=0 keeps each kept column's squared norm at n
-    keep = std > X.shape[0] * np.finfo(np.float64).eps * np.abs(mean)
+    mean = X.mean(axis=axis)
+    std = X.std(axis=axis)  # ddof=0 keeps each kept column's squared norm at n
+    keep = std > X.shape[axis] * np.finfo(np.float64).eps * np.abs(mean)
     return mean, std, keep
 
 
@@ -266,7 +266,6 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     it = np.zeros(B, dtype=np.int64)
     wy, mwy = w.copy(), mw.copy()
     pid = np.arange(B)  # original index of each problem still in the stack
-    owned = False  # whether Z is the kernel's own copy
     out_w, out_c, out_F = np.empty((B, a)), np.empty(B), np.empty(B)
     out_kkt, out_it, out_stop = np.empty(B), np.empty(B, dtype=np.int64), np.empty(B, dtype=np.int8)
 
@@ -354,14 +353,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             for code in np.unique(rule[~live & ~stuck]):
                 finish(rule == code, code)
             keep = np.flatnonzero(live)
-            if owned:  # move the problems still running forward, in place
-                for i, j in enumerate(keep):
-                    if i != j:
-                        Z[i] = Z[j]
-                Z = Z[: keep.size]
-            else:  # the first time, copy: the caller's stack stays as it was
-                Z, owned = Z[keep], True
-            pid, y, w, mw, c, F, wy, mwy = (v[keep] for v in (pid, y, w, mw, c, F, wy, mwy))
+            pid, Z, y, w, mw, c, F, wy, mwy = (v[keep] for v in (pid, Z, y, w, mw, c, F, wy, mwy))
             t, step, kkt, stall, it = (v[keep] for v in (t, step, kkt, stall, it))
     return out_w, out_c, out_F, out_kkt, out_kkt <= tol_kkt, out_it, out_stop
 
@@ -469,9 +461,9 @@ def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
     lw, tol, eps = cfg.loss_weight, cfg.tol_kkt, cfg.support_epsilon
     cols = _ImplicitColumns(X, rows, scale)
     w = np.zeros((B, X.shape[1]))
-    # settle the intercepts first so screening sees meaningful gradients
-    _, c, _, _, _, iters, _ = _prox_solve(
-        np.zeros((B, k, 0)), y, lw, np.zeros((B, 0)), c0, cfg.max_iters, tol, eps)
+    # log(n_pos / n_neg) is the intercept's optimum at w = 0, so the first
+    # screen already sees the gradients of the optimal empty model
+    c, iters = c0, np.zeros(B, dtype=np.int64)
     active = [np.zeros(0, dtype=np.int64)] * B
     mw = np.zeros((B, k))
     kkt = np.full(B, math.inf)
@@ -521,45 +513,47 @@ def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
     return w, c, objective, kkt, kkt <= tol, iters
 
 
-def lockstep_batch_size(k, m, materialized=False):
-    """Problems per lockstep batch for fits on k rows and m columns: as many
-    as keep one batch array within ``_BATCH_ENTRIES`` floats, at most
-    ``_MAX_BATCH``. The array is the stack of k x m matrices of narrow fits,
-    or of ``materialized`` ones (a caller that builds each problem's
-    matrix), and otherwise the m-long rows of wide fits."""
-    wide = m >= _WORKING_SET_MIN_COLS and not materialized
-    return min(_MAX_BATCH, max(1, _BATCH_ENTRIES // max(1, m if wide else k * m)))
-
-
 def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSolution]:
     """L1 fits of the row subsamples ``(X[rows[b]], y[rows[b]])``, in lockstep.
 
     ``X`` (n, m) and ``y`` (n,) are float64 inputs already checked by the
     :class:`Dataset` rules; ``rows`` (B, k) holds each subsample's sorted row
     indices and ``scale``, if given, each fit's m column multipliers (B
-    arrays, or one (B, m) array).
+    arrays, or one (B, m) array). Consecutive fits share a kernel call as
+    long as its batch array stays within ``_BATCH_ENTRIES`` floats: k x m
+    per narrow problem, m per wide one.
     Fit b answers ``fit_l1_logistic(X[rows[b]], y[rows[b]], config,
     scale[b])``: to the bit on the narrow path, and to the solver tolerance
     on the wide one (see the module docstring).
     """
-    B, m = rows.shape[0], X.shape[1]
-    y = y[rows]
+    B, k = rows.shape
+    m = X.shape[1]
+    wide = m >= _WORKING_SET_MIN_COLS
+    size = max(1, _BATCH_ENTRIES // (m if wide else k * m))
     scale = [np.ones(m)] * B if scale is None else scale
-    c0 = np.array([_initial_intercept(v) for v in y])
-    if m >= _WORKING_SET_MIN_COLS:
-        w, c, obj, kkt, conv, iters = _fit_l1_working_set(X, y, rows, config, scale, c0)
-    else:
-        Z = np.zeros((B, rows.shape[1], m))
-        keep = np.zeros((B, m), dtype=bool)
-        for b in range(B):
-            Zb, _, _, keep[b] = standardize_columns(X[rows[b]])
-            Z[b][:, keep[b]] = Zb * scale[b][keep[b]]
-        w, c, obj, kkt, conv, iters, _ = _prox_solve(
-            Z, y, config.loss_weight, np.zeros((B, m)), c0,
-            config.max_iters, config.tol_kkt, config.support_epsilon)
-        w[~keep] = 0.0
-    return [SolverSolution(w=w[b], c=c[b], objective=obj[b], kkt_residual=kkt[b],
-                           converged=bool(conv[b]), n_iters=int(iters[b])) for b in range(B)]
+    sols = []
+    for at in range(0, B, size):
+        part = rows[at : at + size]
+        part_y = y[part]
+        c0 = np.array([_initial_intercept(v) for v in part_y])
+        if wide:
+            w, c, obj, kkt, conv, iters = _fit_l1_working_set(
+                X, part_y, part, config, scale[at : at + size], c0)
+        else:
+            Z = X[part]
+            mean, std, keep = _column_stats(Z, axis=1)
+            Z -= mean[:, None]
+            np.divide(Z, std[:, None], out=Z, where=keep[:, None])
+            Z.swapaxes(1, 2)[~keep] = 0.0  # constant columns become zero columns
+            Z *= np.asarray(scale[at : at + size])[:, None]
+            w, c, obj, kkt, conv, iters, _ = _prox_solve(
+                Z, part_y, config.loss_weight, np.zeros((part.shape[0], m)), c0,
+                config.max_iters, config.tol_kkt, config.support_epsilon)
+            w[~keep] = 0.0
+        sols += [SolverSolution(w=w[b], c=c[b], objective=obj[b], kkt_residual=kkt[b],
+                                converged=bool(conv[b]), n_iters=int(iters[b]))
+                 for b in range(part.shape[0])]
+    return sols
 
 
 def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolution:

@@ -8,8 +8,9 @@ of every selected cluster. Scores are selection counts out of K.
 
 ``resample`` is the loop this selector shares with the randomized L1
 baseline: iteration k always draws from the random stream derived from
-(master_seed, k), and the fits of a batch of iterations run as one lockstep
-solve, so results are independent of thread count and iteration order.
+(master_seed, k), and the fits of each batch of consecutive iterations go
+to the solver in one call, so results are independent of thread count and
+iteration order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
-from .solver import SolverConfig, fit_l1_batch, lockstep_batch_size
+from .solver import SolverConfig, fit_l1_batch
 from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name here
 
 # loss weight giving useful sparsity on cluster-averaged fits at the default
@@ -32,6 +33,13 @@ from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name he
 DEFAULT_LOSS_WEIGHT = 0.5
 
 _MAX_FAILURE_FRACTION = 0.2
+# iterations per call of a selector's fit. The solver may split a call into
+# smaller lockstep kernel calls by memory but never joins two. A batch runs
+# until its slowest problem stops, and a larger one holds more memory (its
+# draws, for rss its averaged k x q matrices, and a wide batch pads its
+# active columns, k x a per problem); 32 raised the README tour's peak
+# memory by 5%
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -282,16 +290,16 @@ def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation:
     return SubsampleDraw(rows=rows, picked=picked)
 
 
-def resample(p: int, K: int, master_seed: int, draw, fit, batch: int,
-             threads: int = 1) -> StabilityScores:
+def resample(p: int, K: int, master_seed: int, draw, fit, threads: int = 1) -> StabilityScores:
     """Run K resampled fits and count how often each feature is selected.
 
     Iteration k first makes its random choices, ``draw(gen)`` with the
     generator of ``derive_stream(master_seed, k)``. The iterations then go
-    to ``fit`` in batches of ``batch`` consecutive k: ``fit(draws)`` solves
-    the batch's problems in one lockstep call and returns (selected feature
-    indices, SolverSolution) per draw. Aborts when more than
-    _MAX_FAILURE_FRACTION of the fits fail to converge.
+    to ``fit`` in batches of ``_BATCH`` consecutive k: ``fit(draws)`` hands
+    the batch's problems to the solver in one call, which runs them in
+    lockstep, and returns (selected feature indices, SolverSolution) per
+    draw. Aborts when more than _MAX_FAILURE_FRACTION of the fits fail to
+    converge.
 
     ``threads > 1`` runs the batches on a thread pool. Every iteration owns
     its stream and the batches do not depend on the thread count, so
@@ -305,11 +313,11 @@ def resample(p: int, K: int, master_seed: int, draw, fit, batch: int,
 
     def one(start):
         draws = [draw(derive_stream(master_seed, k).generator())
-                 for k in range(start, min(start + batch, K))]
+                 for k in range(start, min(start + _BATCH, K))]
         # keep no weight vector: K of them would hold K*p floats at once
         return [(selected, sol.converged, sol.kkt_residual) for selected, sol in fit(draws)]
 
-    starts = range(0, K, batch)
+    starts = range(0, K, _BATCH)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = [r for part in pool.map(one, starts) for r in part]
@@ -374,9 +382,7 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         chosen = [d.picked[g] for g in sol.support(eps)]
         return np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
 
-    batch = lockstep_batch_size(round_nearest(config.alpha * dataset.n), parcellation.q,
-                                materialized=True)
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, batch, threads)
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, threads)
 
 
 def threshold_scores(scores: StabilityScores, tau: float) -> np.ndarray:

@@ -103,15 +103,14 @@ def _box_dims(size: int) -> tuple[int, int, int]:
     return side, side, depth
 
 
-def default_cluster_placement(dims, cluster_sizes, seed: int = 0) -> list[np.ndarray]:
+def default_cluster_placement(dims, cluster_sizes) -> list[np.ndarray]:
     """Five disjoint compact boxes near the grid center, one per cluster.
 
     Each cluster of size s becomes a box of at most 2s voxels, truncated
     lexicographically to exactly s. Boxes sit on a lattice of equal cells
     centered in the grid; the five most central cells win, ties broken
     lexicographically. The placement uses fixed relative positions, so it
-    does not vary with ``seed``; the parameter is kept so callers can pass
-    one config-style seed everywhere.
+    involves no randomness.
     """
     dims = np.asarray([int(d) for d in dims])
     sizes = [int(s) for s in cluster_sizes]

@@ -13,7 +13,7 @@ from rss_select.baselines import (
     ttest_scores,
 )
 from rss_select.data import Dataset, derive_stream
-from rss_select import solver
+from rss_select import baselines, solver, stability
 from rss_select.solver import SolverConfig, fit_l1_logistic, standardize_columns
 from rss_select.stability import draw_row_subsample
 
@@ -212,7 +212,7 @@ def test_randomized_l1_thread_count_is_invisible():
 
 
 @pytest.mark.parametrize("p", [10, 1100])
-def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, p):
+def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, record_batches, p):
     """With lockstep batches of 4 and K=10 (batches of 4, 4 and 2), every
     thread count gives the counts of one fit_l1_logistic per iteration, on
     the narrow path and on the wide one."""
@@ -223,12 +223,15 @@ def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, p):
     ds = _dataset(X, y)
     config = RandL1Config(solver=SolverConfig(loss_weight=0.8), K=10, master_seed=2)
     per_problem = p if p >= 1024 else 15 * p
+    monkeypatch.setattr(stability, "_BATCH", 4)
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * per_problem)
-    assert solver.lockstep_batch_size(15, p) == 4
+    sizes = record_batches(baselines)
     want = _rl1_manual_counts(ds, config)
     assert want[:3].sum() > 0
     for threads in (1, 2, 3):
+        sizes.clear()
         assert_array_equal(randomized_l1(ds, config, threads=threads).counts, want)
+        assert sorted(sizes) == [2, 4, 4]
 
 
 def test_randomized_l1_widespread_non_convergence_aborts():

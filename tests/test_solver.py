@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,3 +483,84 @@ def test_wide_batch_matches_single_fits():
         np.testing.assert_allclose(sol.w, want.w, rtol=0, atol=1e-5)
         assert sol.c == pytest.approx(want.c, abs=1e-5)
     assert sols[chosen[0]].w[0] == 0.0
+
+
+@pytest.mark.parametrize("m", [40, 1100])
+def test_kernel_calls_split_by_memory_invisibly(monkeypatch, m):
+    """When one batch array holds only 3 problems, fit_l1_batch runs 7 as
+    kernel calls of 3, 3 and 1. Narrow fits are byte-equal to the one-call
+    fits; wide ones, which depend on their batch mates in the last digits,
+    keep their supports and their objectives to 1e-11."""
+    X, y, rows, scale = _wide_subsamples(3, 7, m=m)
+    cfg = SolverConfig(loss_weight=0.8)
+    whole = solver.fit_l1_batch(X, y, rows, cfg, scale)
+    wide = m >= solver._WORKING_SET_MIN_COLS
+    site = "_fit_l1_working_set" if wide else "_prox_solve"
+    sizes, real = [], getattr(solver, site)
+
+    def recording(first, y_stack, *args):
+        sizes.append(y_stack.shape[0])
+        return real(first, y_stack, *args)
+
+    monkeypatch.setattr(solver, site, recording)
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 3 * (m if wide else rows.shape[1] * m))
+    split = solver.fit_l1_batch(X, y, rows, cfg, scale)
+    assert sizes == [3, 3, 1]
+    assert any(sol.support(cfg.support_epsilon).size for sol in whole)
+    for one, part in zip(whole, split, strict=True):
+        assert one.converged and part.converged
+        if wide:
+            np.testing.assert_array_equal(part.support(cfg.support_epsilon),
+                                          one.support(cfg.support_epsilon))
+            assert part.objective == pytest.approx(one.objective, rel=1e-11)
+        else:
+            assert part.w.tobytes() == one.w.tobytes()
+            assert ((part.c, part.objective, part.kkt_residual, part.n_iters)
+                    == (one.c, one.objective, one.kkt_residual, one.n_iters))
+
+
+@st.composite
+def _narrow_stacks(draw):
+    """Row subsamples of a matrix with offset columns, columns of 4.2 and of
+    0, columns with |mean| / std about 1e8, and columns constant (4.2) on
+    the first subsample's rows only."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 12))
+    B, k = draw(st.integers(1, 5)), draw(st.integers(1, n))
+    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m) + 20.0 * rng.normal(size=m)
+    kind = rng.integers(0, 5, size=m)
+    X[:, kind == 1] = 4.2
+    X[:, kind == 2] = 0.0
+    X[:, kind == 3] = 1e5 + 1e-3 * rng.normal(size=(n, int((kind == 3).sum())))
+    rows = np.sort(np.stack([rng.choice(n, size=k, replace=False) for _ in range(B)]), axis=1)
+    X[np.ix_(rows[0], np.flatnonzero(kind == 4))] = 4.2
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return X, y, rows, rng.uniform(0.5, 1.0, size=(B, m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_narrow_stacks())
+def test_stacked_standardization_matches_each_matrix(instance):
+    """Column statistics of a stack equal those of each of its matrices bit
+    for bit, and the narrow stack fit_l1_batch hands the kernel is each
+    subsample's standardize_columns output, scaled, with zero columns where
+    a column is constant on the drawn rows."""
+    X, y, rows, scale = instance
+    stats = solver._column_stats(X[rows], axis=1)
+    for b in range(rows.shape[0]):
+        for got, want in zip(stats, solver._column_stats(X[rows[b]])):
+            assert got[b].tobytes() == want.tobytes()
+    stacks, real = [], solver._prox_solve
+
+    def capture(Z, *args):
+        stacks.append(Z.copy())
+        return real(Z, *args)
+
+    with mock.patch.object(solver, "_prox_solve", capture):
+        solver.fit_l1_batch(X, y, rows, SolverConfig(loss_weight=1.0, max_iters=5), scale)
+    (Z,) = stacks
+    for b in range(rows.shape[0]):
+        Zb, _, _, keep = standardize_columns(X[rows[b]])
+        want = np.zeros((rows.shape[1], X.shape[1]))
+        want[:, keep] = Zb * scale[b][keep]
+        assert Z[b].tobytes() == want.tobytes()

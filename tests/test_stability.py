@@ -18,7 +18,7 @@ from rss_select.data import (
     StabilityScores,
     derive_stream,
 )
-from rss_select import solver
+from rss_select import solver, stability
 from rss_select.solver import SolverConfig, fit_l1_logistic
 from rss_select.stability import (
     BlockCover,
@@ -416,7 +416,7 @@ def test_thread_count_does_not_change_counts():
     assert_array_equal(serial.counts, pooled.counts)
 
 
-def test_counts_ignore_threads_across_lockstep_batches(monkeypatch):
+def test_counts_ignore_threads_across_lockstep_batches(monkeypatch, record_batches):
     """With lockstep batches of 4 and K=10 (batches of 4, 4 and 2), every
     thread count gives the counts of one fit per iteration."""
     ds = _noise_dataset(seed=5, n=20, dims=(6, 6, 1))
@@ -425,12 +425,15 @@ def test_counts_ignore_threads_across_lockstep_batches(monkeypatch):
     ds = Dataset(X=X, y=ds.y, geometry=ds.geometry)
     parc = _slab_parcellation(ds.p, 4)
     config = StabilityConfig(solver=DEFAULT_SOLVER, K=10, master_seed=9, block_shape=(2, 2, 1))
+    monkeypatch.setattr(stability, "_BATCH", 4)
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * 10 * 4)  # 4 fits of 10 rows x 4 clusters
-    assert solver.lockstep_batch_size(10, 4) == 4
+    sizes = record_batches(stability)
     want = _rss_manual_counts(ds, parc, config)
     assert want.sum() > 0
     for threads in (1, 2, 3):
+        sizes.clear()
         assert_array_equal(run_stability_selection(ds, parc, config, threads=threads).counts, want)
+        assert sorted(sizes) == [2, 4, 4]
 
 
 def test_draw_iteration_replays_deterministically():

@@ -73,8 +73,8 @@ def test_placement_singletons():
 
 
 def test_placement_is_deterministic():
-    a = default_cluster_placement((20, 20, 10), (12, 9, 7, 7, 7), seed=1)
-    b = default_cluster_placement((20, 20, 10), (12, 9, 7, 7, 7), seed=1)
+    a = default_cluster_placement((20, 20, 10), (12, 9, 7, 7, 7))
+    b = default_cluster_placement((20, 20, 10), (12, 9, 7, 7, 7))
     for ca, cb in zip(a, b):
         assert_array_equal(ca, cb)
 
