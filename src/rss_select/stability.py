@@ -153,23 +153,14 @@ class BlockCover:
         effect: a batch draw gives the same values and generator state as
         that many single draws, so each batch is scanned for the first
         anchor after which every quota is met, and the generator is rewound
-        to draw exactly that prefix. Trimming then drops uniformly random
-        picked features of each over-quota cluster, cluster ids ascending,
-        so each cluster returns exactly its quota, sorted. Each quota must
-        lie in [1, cluster size].
+        to draw exactly that prefix. The picked voxels then go through
+        ``_quota_trim``, which keeps a uniformly random quota of each
+        cluster with one more generator call, so each cluster returns
+        exactly its quota, sorted. Each quota must lie in [1, cluster size].
         """
+        quotas = _checked_quotas(parcellation, quotas)
         assignment = parcellation.assignment
         q = parcellation.q
-        sizes = np.bincount(assignment, minlength=q)
-        quotas = np.asarray(quotas)
-        if quotas.shape != (q,):
-            raise ValueError(f"quotas must have shape ({q},), got {quotas.shape}")
-        bad = np.flatnonzero((quotas < 1) | (quotas > sizes))
-        if bad.size:
-            g = int(bad[0])
-            raise ValueError(f"quota {quotas[g]} of cluster {g} is outside [1, {sizes[g]}] "
-                             "(1 to the cluster's size)")
-        quotas = quotas.astype(np.int64)
         p = assignment.size
         picked = np.zeros(p, dtype=bool)
         need = quotas  # fresh voxels each cluster still lacks
@@ -209,32 +200,52 @@ class BlockCover:
             need = np.maximum(need - found, 0)
             drawn += batch
             batch *= 2
-        # picked voxels grouped by cluster, ascending within each cluster
-        voxels = np.flatnonzero(picked)
-        key = np.sort(assignment[voxels] * p + voxels)
-        cluster = key // p
-        voxels = key - cluster * p
-        counts = np.bincount(cluster, minlength=q)
-        # trim each over-quota cluster to a uniform random subset; masking
-        # keeps the survivors in ascending order
-        keep = (counts <= quotas)[cluster]
-        over = np.flatnonzero(counts > quotas)
-        if over.size:
-            counts_, quotas_ = counts.tolist(), quotas.tolist()
-            chosen = [gen.choice(counts_[g], size=quotas_[g], replace=False) for g in over.tolist()]
-            keep[np.concatenate(chosen) + np.repeat((np.cumsum(counts) - counts)[over], quotas[over])] = True
-        voxels = voxels[keep]
-        bounds = np.cumsum(quotas).tolist()
-        return tuple(voxels[i:j] for i, j in zip([0, *bounds[:-1]], bounds))
+        return _quota_trim(gen, picked, assignment, quotas)
 
 
-def _stratified_subsample(members, quotas, gen) -> tuple[np.ndarray, ...]:
-    # no-geometry fallback: uniform per-cluster draws, cluster ids ascending
-    out = []
-    for g, mem in enumerate(members):
-        take = gen.choice(mem.size, size=int(quotas[g]), replace=False)
-        out.append(np.sort(mem[take]))
-    return tuple(out)
+def _checked_quotas(parcellation: Parcellation, quotas) -> np.ndarray:
+    # one quota per cluster, each in [1, cluster size], as int64
+    sizes = np.bincount(parcellation.assignment, minlength=parcellation.q)
+    quotas = np.asarray(quotas)
+    if quotas.shape != sizes.shape:
+        raise ValueError(f"quotas must have shape {sizes.shape}, got {quotas.shape}")
+    bad = np.flatnonzero((quotas < 1) | (quotas > sizes))
+    if bad.size:
+        g = int(bad[0])
+        raise ValueError(f"quota {quotas[g]} of cluster {g} is outside [1, {sizes[g]}] "
+                         "(1 to the cluster's size)")
+    return quotas.astype(np.int64)
+
+
+def _quota_trim(gen: np.random.Generator, picked: np.ndarray, assignment: np.ndarray,
+                quotas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A uniformly random ``quotas[g]`` of the ``picked`` voxels of each
+    cluster g, ascending, one array per cluster id.
+
+    One ``gen.integers(2**s, size=m)`` call draws a key for each of the m
+    picked voxels, taken cluster ids ascending and voxel indices ascending
+    within each cluster, where s = 63 - (q - 1).bit_length(): the key fills
+    every bit of an int64 that the cluster id leaves free. Each cluster
+    keeps the voxels with its quota smallest keys, and of two equal keys the
+    lower voxel index (one stable sort of cluster id and key). Every cluster
+    needs at least its quota of picked voxels.
+    """
+    p, q = assignment.size, quotas.size
+    voxels = np.flatnonzero(picked)
+    grouped = np.sort(assignment[voxels] * p + voxels)
+    cluster = grouped // p
+    voxels = grouped - cluster * p
+    shift = 63 - (q - 1).bit_length()
+    keys = gen.integers(1 << shift, size=voxels.size)
+    order = np.argsort((cluster << shift) | keys, kind="stable")
+    counts = np.bincount(cluster, minlength=q)
+    # rank in its cluster's key order of the voxel at each sorted position
+    rank = np.arange(voxels.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = np.empty(voxels.size, dtype=bool)
+    keep[order] = rank < np.repeat(quotas, counts)
+    voxels = voxels[keep]
+    bounds = np.cumsum(quotas).tolist()
+    return tuple(voxels[i:j] for i, j in zip([0, *bounds[:-1]], bounds))
 
 
 def average_supervoxels(X, picked, parcellation: Parcellation | None = None,
@@ -277,16 +288,16 @@ def average_supervoxels(X, picked, parcellation: Parcellation | None = None,
 
 
 def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation: Parcellation,
-                   quotas: np.ndarray, members: list[np.ndarray],
-                   cover: BlockCover | None = None) -> SubsampleDraw:
+                   quotas: np.ndarray, cover: BlockCover | None = None) -> SubsampleDraw:
     """The random draws of one iteration: rows first, then per-cluster
-    features (random blocks over the cover, or plain stratified draws when
-    there is no cover)."""
+    features (random blocks over the cover, or, when there is no cover,
+    ``_quota_trim`` over every voxel: plain stratified draws)."""
     rows = draw_row_subsample(n, alpha, gen)
     if cover is not None:
         picked = cover.draw(gen, parcellation, quotas)
     else:
-        picked = _stratified_subsample(members, quotas, gen)
+        picked = _quota_trim(gen, np.ones(parcellation.p, dtype=bool), parcellation.assignment,
+                            _checked_quotas(parcellation, quotas))
     return SubsampleDraw(rows=rows, picked=picked)
 
 
@@ -303,10 +314,12 @@ def resample(p: int, K: int, master_seed: int, draw, fit, threads: int = 1) -> S
 
     ``threads > 1`` runs the batches on a thread pool. Every iteration owns
     its stream and the batches do not depend on the thread count, so
-    neither do the counts. It is no speed-up: on a 2-vCPU machine with
-    OpenBLAS at full scale, rss K=50 runs four batches (0.47-0.57 s on 1
-    thread, 0.49-0.55 s on 2) and rand-l1 K=70 five, which 2 threads made
-    slower (0.93-1.14 s on 1 thread, 1.09-1.26 s on 2).
+    neither do the counts. It is no clear speed-up: on a 2-vCPU machine
+    with OpenBLAS at full scale (seeds 0 and 1, four alternating runs each),
+    rss K=50 runs four batches (0.29-0.39 s on 1 thread, 0.24-0.34 s on 2,
+    medians 0.33 and 0.32 s) and rand-l1 K=70 five, which 2 threads made
+    slower (0.76-1.27 s on 1 thread, 1.02-1.26 s on 2, medians 1.09 and
+    1.17 s).
     """
     if threads < 1:
         raise ValueError("threads must be positive")
@@ -359,12 +372,11 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         warnings.warn("dataset has no grid geometry; falling back to stratified "
                       "per-cluster sampling without blocks", stacklevel=2)
     quotas = cluster_quotas(parcellation, config.beta)
-    members = parcellation.members()
     X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
     def draw(gen):
-        return draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, members, cover)
+        return draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
 
     def fit(draws):
         # the averaged matrices, stacked as row blocks of one matrix, are

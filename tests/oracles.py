@@ -143,8 +143,9 @@ def _newton_intercept_reference(base, y, loss_weight, c, steps=2):
 
 def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     """The single-problem L1 loop the package's lockstep kernel replaced,
-    kept verbatim as its reference: accelerated proximal gradient on
-    standardized columns.
+    kept verbatim as its reference, except that it stops on a stall after 30
+    flat iterations rather than 10, as the kernel does: accelerated proximal
+    gradient on standardized columns.
 
     Minimizes ``loss_weight * L(w, c) + ||w||_1`` with the intercept refreshed
     by its own Newton step every iteration. Momentum restarts whenever the
@@ -213,7 +214,7 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
 
         if abs(F_prev - F) <= 1e-14 * max(1.0, abs(F)):
             stall += 1
-            if stall >= 10:
+            if stall >= 30:
                 break
         else:
             stall = 0
@@ -427,9 +428,10 @@ def block_cover_reference(geometry, block_shape):
 
 
 def block_draw_reference(starts, features, gen, parcellation, quotas):
-    """``BlockCover.draw`` as first shipped: one anchor per Python step until
-    every quota is met, then a per-cluster trim in ascending cluster order.
-    ``starts`` and ``features`` come from ``block_cover_reference``."""
+    """``BlockCover.draw`` as a plain loop: one anchor per Python step until
+    every quota is met (as first shipped), then the key trim that
+    ``stability._quota_trim`` documents, one cluster at a time. ``starts``
+    and ``features`` come from ``block_cover_reference``."""
     n_anchors = starts.size - 1
     assignment = parcellation.assignment
     members = parcellation.members()
@@ -452,13 +454,14 @@ def block_draw_reference(starts, features, gen, parcellation, quotas):
         picked[fresh] = True
         np.add.at(counts, assignment[fresh], 1)
         unmet = int((counts < quotas).sum())
+    # one key in [0, 2**s) per picked voxel, clusters ascending and voxels
+    # ascending within each; a cluster keeps its quota smallest (key, voxel)
+    shift = 63 - (parcellation.q - 1).bit_length()
+    keys = iter(gen.integers(2**shift, size=int(picked.sum())).tolist())
     out = []
     for g in range(parcellation.q):
-        got = members[g][picked[members[g]]]
-        if got.size > quotas[g]:
-            keep = gen.choice(got.size, size=int(quotas[g]), replace=False)
-            got = np.sort(got[keep])
-        out.append(got)
+        ranked = sorted((next(keys), v) for v in members[g][picked[members[g]]].tolist())
+        out.append(np.array(sorted(v for _, v in ranked[: quotas[g]]), dtype=np.int64))
     return tuple(out)
 
 

@@ -218,7 +218,10 @@ def test_criterion_4_quota_exactness_and_inclusion():
     quotas = cluster_quotas(parcellation, beta)
     cover = BlockCover(freq_grid, (3, 3, 2))
     gen = RngStream(900, 0).generator()
-    mc_draws = 3000
+    # the largest true deviation here is about 0.020 (200000 draws); at
+    # 3000 draws its standard error is 0.0055, so the gate would fail about
+    # one stream in four on noise alone; 20000 draws make it 0.0021
+    mc_draws = 20000
     hits = np.zeros(freq_grid.p)
     for _ in range(mc_draws):
         for picked in cover.draw(gen, parcellation, quotas):

@@ -268,6 +268,35 @@ def test_block_draw_replays_reference(instance, seed):
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
+@pytest.mark.parametrize("fallback", [False, True])
+def test_quota_trim_picks_uniform_subsets(fallback):
+    """Cluster 0 offers 5 voxels to a quota of 2, always: the trim of picked
+    voxels that ``BlockCover.draw`` ends with, and the no-geometry fallback,
+    which trims every voxel. Over 5000 streams each of the 10 subsets comes
+    out equally often (chi-square), and every quota is exact."""
+    from scipy.stats import chisquare
+
+    assignment = np.array([0, 1, 0, 1, 0, 0, 1, 0, 1])
+    parc = Parcellation(assignment=assignment, q=2)
+    quotas = np.array([2, 1])
+    members = parc.members()
+    picked = np.isin(np.arange(9), [0, 2, 4, 5, 7, 3, 6])  # cluster 0 whole, 2 of cluster 1
+    subsets = {s: i for i, s in enumerate(itertools.combinations(members[0].tolist(), 2))}
+    freq = np.zeros(len(subsets))
+    for k in range(5000):
+        gen = derive_stream(21, k).generator()
+        if fallback:
+            got = draw_iteration(gen, 4, 0.5, parc, quotas).picked
+            assert np.isin(got[1], members[1]).all()
+        else:
+            got = stability._quota_trim(gen, picked, assignment, quotas)
+            assert np.isin(got[1], [3, 6]).all()
+        assert [g.size for g in got] == [2, 1]
+        assert_array_equal(got[0], np.sort(got[0]))
+        freq[subsets[tuple(got[0].tolist())]] += 1
+    assert chisquare(freq).pvalue > 1e-3
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2**40), st.integers(0, 300))
 def test_batched_integers_match_single_draws(seed, n, k):
@@ -444,7 +473,7 @@ def test_draw_iteration_replays_deterministically():
     cover = BlockCover(ds.geometry, config.block_shape)
     for k in range(3):
         a, b = (draw_iteration(derive_stream(config.master_seed, k).generator(), ds.n,
-                               config.alpha, parc, quotas, parc.members(), cover)
+                               config.alpha, parc, quotas, cover)
                 for _ in range(2))
         assert_array_equal(a.rows, b.rows)
         assert a.rows.size == round_nearest(config.alpha * ds.n)
@@ -460,7 +489,7 @@ def _rss_manual_counts(ds, parc, config):
     counts = np.zeros(ds.p, dtype=np.int64)
     for k in range(config.K):
         gen = derive_stream(config.master_seed, k).generator()
-        draw = draw_iteration(gen, ds.n, config.alpha, parc, quotas, parc.members(), cover)
+        draw = draw_iteration(gen, ds.n, config.alpha, parc, quotas, cover)
         averaged = average_supervoxels(ds.X[draw.rows], draw.picked)
         sol = fit_l1_logistic(averaged, ds.y[draw.rows], config.solver)
         for g in sol.support(config.solver.support_epsilon):
