@@ -12,10 +12,11 @@ in lockstep over a stack of B problems of equal shape (B, n, a). The
 intercept is one more coordinate of the proximal step, an unpenalized one
 whose prox is the identity (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
 Each problem keeps its own step size, backtracking, momentum and stop
-state, and leaves the stack when it stops. A single fit is a stack of one. The stacked products are
-``np.matmul`` over the stack and the sums are row sums, which equal the
-products and sums of each problem on its own bit for bit, so a problem's
-result does not depend on the problems that share its stack.
+state, and leaves the stack when it stops. A single fit is a stack of one.
+The stacked products are ``np.matmul`` over the stack and the sums are row
+sums, which equal the products and sums of each problem on its own bit for
+bit, so a problem's result does not depend on the problems that share its
+stack.
 
 ``fit_l1_batch`` fits any number of row subsamples of one matrix; it is
 what ``fit_l1_logistic`` (one subsample) and both resampling selectors
