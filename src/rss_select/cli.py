@@ -54,9 +54,9 @@ from .synthgen import SynthConfig, generate_synthetic, load_ground_truth, save_g
 
 _COUNT_METHODS = ("rss", "rand-l1")
 _ALL_METHODS = ("rss", "rand-l1", "l1", "l2", "ttest")
-_THREADS_HELP = ("run the batches of resampled fits of rss and rand-l1 on N threads; "
-                 "outputs are identical for any N, and 2 threads measured no clear "
-                 "speed-up on 2 vCPUs")
+_THREADS_HELP = ("run the batches of resampled fits of rss and rand-l1 on N threads; a "
+                 "batch is one lockstep solver call of up to 64 fits, so an rss run of "
+                 "K=50 is one batch that no N splits; outputs are identical for any N")
 
 
 def _parse_triple(text, label):

@@ -13,20 +13,27 @@ intercept is one more coordinate of the proximal step, an unpenalized one
 whose prox is the identity (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
 Each problem keeps its own step size, backtracking, momentum and stop
 state, and leaves the stack when it stops. A single fit is a stack of one.
-The stacked products are ``np.matmul`` over the stack and the sums are row
-sums, which equal the products and sums of each problem on its own bit for
-bit, so a problem's result does not depend on the problems that share its
-stack.
+The stacked products are ``np.matmul`` over views of runs of consecutive
+live problems, and the sums are row sums; both equal the products and sums
+of each problem on its own bit for bit, so a problem's result does not
+depend on the problems that share its stack. The caller's stack is never
+written; the live problems are gathered into a new stack only once at most
+half of the current one is live, so the kernel holds at most half a stack
+more than its caller.
 
-``fit_l1_batch`` fits any number of row subsamples of one matrix; it is
-what ``fit_l1_logistic`` (one subsample) and both resampling selectors
-call, and the only code that decides how many problems share a kernel
-call: as many consecutive ones as keep one batch array within 4 MiB.
-Narrow problems are gathered and standardized as one stack; a constant
-column becomes a zero column, which stays at weight 0. Wide problems take
-a working-set strategy: solve on small active sets, then screen the full
-gradients for violators until the optimality conditions hold over all
-columns. Wide fits standardize implicitly: column statistics of all the
+``fit_l1_batch`` fits any number of row subsamples of one matrix, or a
+stack of matrices handed over; it is what ``fit_l1_logistic`` (one
+subsample) and both resampling selectors call. How many problems share a
+kernel call is decided by ``lockstep_batch_size`` alone: as many
+consecutive ones as keep one batch array within 4 MiB, at most 64. The
+selectors size their batches by it too, so each of their batches is one
+kernel call. Narrow problems are gathered into one stack and standardized
+in it one matrix at a time; a constant column becomes a zero column, which
+stays at weight 0. Wide problems take a working-set strategy: solve on
+small active sets, then screen the full gradients for violators until the
+optimality conditions hold over all columns, holding only the weights of
+the active sets until the end. Wide fits standardize implicitly: column
+statistics of all the
 subsamples of a kernel call come from one pass over X, the screens are
 one product of X with the residuals (zero on the rows a subsample did not
 draw), and only active columns are ever built. A wide fit can therefore
@@ -58,11 +65,17 @@ _WORKING_SET_MIN_COLS = 1024
 # column whose second moment exceeds its variance this many times has its
 # statistics recomputed in two passes (see _subsample_stats)
 _CANCEL_RATIO = 1e4
-# float64 entries (4 MiB) per lockstep batch array, which sets how many
-# problems fit_l1_batch puts in one kernel call: narrow problems stack their
-# k x m matrices, wide ones their m-long rows; column statistics read X in
-# blocks of this size
+# float64 entries (4 MiB) per lockstep batch array, one of the two bounds of
+# lockstep_batch_size: narrow problems stack their k x m matrices, wide ones
+# their m-long rows; column statistics read X in blocks of this size
 _BATCH_ENTRIES = 1 << 19
+# the other bound, on the problem count. A call runs until its slowest
+# problem stops and holds a few m-long rows per wide problem, so without it
+# the 1200-voxel README tour put 436 wide fits in one call. On that tour
+# rand-l1 K=500 took 1.66, 1.20, 0.77 and 0.63 s in calls of at most 16,
+# 32, 64 and 128, at traced peaks of 1.2, 1.6, 2.8 and 5.3 MiB; 64 takes
+# most of the gain for about half the memory of 128
+_MAX_STACK = 64
 _MAX_OUTER = 100
 _MIN_STEP = 1e-18
 # near the optimum the accepted objective can sit still for many iterations
@@ -110,17 +123,24 @@ class SolverConfig:
             raise ValueError("tolerances must be non-negative (tol_kkt positive)")
 
 
-def _column_stats(X, axis=0):
+def _column_stats(X):
     """Column mean, population std and the mask of non-constant columns of
-    a matrix, or with ``axis=1`` of each matrix of a stack (B, n, m).
+    a matrix.
 
     A column counts as constant when its std is within rounding of zero for
     its mean, ``std <= n * eps * |mean|``: n copies of one value can give a
-    std of about eps * |mean| rather than exactly 0.
+    std of about eps * |mean| rather than exactly 0. X is read in column
+    blocks of ``_BATCH_ENTRIES`` entries, so the temporaries stay one block
+    in size; each column's statistics are those of the whole matrix bit for
+    bit.
     """
-    mean = X.mean(axis=axis)
-    std = X.std(axis=axis)  # ddof=0 keeps each kept column's squared norm at n
-    keep = std > X.shape[axis] * np.finfo(np.float64).eps * np.abs(mean)
+    n, m = X.shape
+    mean, std = np.empty(m), np.empty(m)
+    width = max(1, _BATCH_ENTRIES // max(n, 1))
+    for j in range(0, m, width):
+        mean[j : j + width] = X[:, j : j + width].mean(axis=0)
+        std[j : j + width] = X[:, j : j + width].std(axis=0)  # ddof=0: squared norms n
+    keep = std > n * np.finfo(np.float64).eps * np.abs(mean)
     return mean, std, keep
 
 
@@ -183,6 +203,17 @@ def _tmv(Z, g):
     return np.matmul(g[:, None, :], Z)[:, 0]
 
 
+def _on_stack(f, Z, sel, v):
+    """``f(Z[sel], v)`` for the problems ``sel`` (ascending indices) of a
+    stack without copying Z: one call of f on a view of each run of
+    consecutive problems."""
+    if sel[-1] - sel[0] + 1 == sel.size:
+        return f(Z[sel[0] : sel[-1] + 1], v)
+    ends = [*(np.flatnonzero(np.diff(sel) != 1) + 1).tolist(), sel.size]
+    return np.concatenate([f(Z[sel[i] : sel[j - 1] + 1], v[i:j])
+                           for i, j in zip([0, *ends[:-1]], ends)])
+
+
 def _dot(u, v):
     """``u[b] @ v[b]`` for each row pair."""
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
@@ -224,18 +255,20 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     it = np.zeros(B, dtype=np.int64)
     wy, mwy, cy = w.copy(), mw.copy(), c.copy()
     pid = np.arange(B)  # original index of each problem still in the stack
+    stack, in_z = Z, pid  # Z is the caller's stack or a gather from it; in_z its rows
     out_w, out_c, out_F = np.empty((B, a)), np.empty(B), np.empty(B)
     out_kkt, out_it, out_stop = np.empty(B), np.empty(B, dtype=np.int64), np.empty(B, dtype=np.int8)
 
     def attempt(sel, from_w, from_mw, from_c):
         """One backtracked proximal step in (w, c) from (from_w, from_c) for
-        the problems ``sel``, each with its own step size; the intercept's
-        prox is the identity, so it takes a plain gradient step."""
-        Zs, ys, st = Z[sel], y[sel], step[sel]
+        the live problems ``sel`` (None for all, else ascending positions),
+        each with its own step size; the intercept's prox is the identity,
+        so it takes a plain gradient step."""
+        ys, st, rows = (y, step, in_z) if sel is None else (y[sel], step[sel], in_z[sel])
         my = ys * (from_mw + from_c[:, None])
         gvec = -(ys * expit(-my))
         f_from = loss_weight * np.logaddexp(0.0, -my).sum(axis=1)
-        gw = loss_weight * _tmv(Zs, gvec)
+        gw = loss_weight * _on_stack(_tmv, Z, rows, gvec)
         gc = loss_weight * gvec.sum(axis=1)
         w_cand, mw_cand = np.empty_like(from_w), np.empty_like(from_mw)
         c_cand, f_cand = np.empty_like(from_c), np.empty_like(f_from)
@@ -244,7 +277,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             s = st[todo]
             wc = _soft_threshold(from_w[todo] - s[:, None] * gw[todo], s[:, None])
             cc = from_c[todo] - s * gc[todo]
-            mwc = _mv(Zs[todo], wc)
+            mwc = _on_stack(_mv, Z, rows[todo], wc)
             d, dc = wc - from_w[todo], cc - from_c[todo]
             fc = _loss(ys[todo], mwc, cc, loss_weight)
             bound = (f_from[todo] + _dot(gw[todo], d) + gc[todo] * dc
@@ -268,7 +301,8 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
                 todo = todo[~floor]
                 if not todo.size:
                     break
-        step[sel] = st
+        if sel is not None:
+            step[sel] = st
         return w_cand, mw_cand, c_cand, f_cand + np.abs(w_cand).sum(axis=1)
 
     def finish(done, code):
@@ -278,7 +312,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         out_kkt[at], out_it[at], out_stop[at] = kkt[done], it[done], code
 
     while pid.size:
-        w_cand, mw_cand, c_cand, F_cand = attempt(slice(None), wy, mwy, cy)
+        w_cand, mw_cand, c_cand, F_cand = attempt(None, wy, mwy, cy)
         slack = 1e-12 * np.maximum(1.0, np.abs(F))
         over = np.flatnonzero(F_cand > F + slack)
         stuck = np.zeros(pid.size, dtype=bool)
@@ -294,7 +328,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         it = it + 1
 
         gvec = -(y * expit(-(y * (mw + c[:, None]))))
-        gw = loss_weight * _tmv(Z, gvec)
+        gw = loss_weight * _on_stack(_tmv, Z, in_z, gvec)
         gc = loss_weight * gvec.sum(axis=1)
         kkt = np.maximum(_l1_violation(gw, w, support_epsilon).max(axis=1, initial=0.0),
                          np.abs(gc))
@@ -315,7 +349,12 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             for code in np.unique(rule[~live & ~stuck]):
                 finish(rule == code, code)
             keep = np.flatnonzero(live)
-            pid, Z, y, w, mw, c, F = (v[keep] for v in (pid, Z, y, w, mw, c, F))
+            pid, in_z, y, w, mw, c, F = (v[keep] for v in (pid, in_z, y, w, mw, c, F))
+            if 2 * pid.size <= Z.shape[0]:
+                # gather the live problems once at most half of Z is live,
+                # dropping the old gather first: at most half a stack extra
+                Z = None
+                Z, in_z = stack[pid], np.arange(pid.size)
             wy, mwy, cy = (v[keep] for v in (wy, mwy, cy))
             t, step, kkt, stall, it = (v[keep] for v in (t, step, kkt, stall, it))
     return out_w, out_c, out_F, out_kkt, out_kkt <= tol_kkt, out_it, out_stop
@@ -344,17 +383,28 @@ def _subsample_stats(X, rows):
         block = X[:, j : j + width]
         shift = block.mean(axis=0)
         D = block - shift
-        s1 = (R @ D) / k
+        # the sums go straight into the output blocks (the mean's takes s1,
+        # the std's s2) and the rest works row by row, so the temporaries
+        # are one row each
+        s1, s2 = mean[:, j : j + width], std[:, j : j + width]
+        np.matmul(R, D, out=s1)
+        s1 /= k
         D *= D
-        s2 = (R @ D) / k
-        var = s2 - s1 * s1
-        mean[:, j : j + width] = shift + s1
-        std[:, j : j + width] = np.sqrt(np.maximum(var, 0.0))
-        cancel[:, j : j + width] = s2 > _CANCEL_RATIO * var
+        np.matmul(R, D, out=s2)
+        s2 /= k
+        for s1_b, s2_b, cancel_b in zip(s1, s2, cancel[:, j : j + width]):
+            var = s1_b * s1_b
+            np.subtract(s2_b, var, out=var)
+            np.greater(s2_b, _CANCEL_RATIO * var, out=cancel_b)
+            np.maximum(var, 0.0, out=var)
+            np.sqrt(var, out=s2_b)
+        s1 += shift
     for b in np.flatnonzero(cancel.any(axis=1)):
         idx = np.flatnonzero(cancel[b])
         mean[b, idx], std[b, idx], _ = _column_stats(X[rows[b, :, None], idx])
-    keep = std > k * np.finfo(np.float64).eps * np.abs(mean)
+    keep = cancel  # its rows are spent
+    for mean_b, std_b, keep_b in zip(mean, std, keep):
+        np.greater(std_b, k * np.finfo(np.float64).eps * np.abs(mean_b), out=keep_b)
     return mean, std, keep
 
 
@@ -423,11 +473,11 @@ def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
     B, k = y.shape
     lw, tol, eps = cfg.loss_weight, cfg.tol_kkt, cfg.support_epsilon
     cols = _ImplicitColumns(X, rows, scale)
-    w = np.zeros((B, X.shape[1]))
     # log(n_pos / n_neg) is the intercept's optimum at w = 0, so the first
     # screen already sees the gradients of the optimal empty model
     c, iters = c0, np.zeros(B, dtype=np.int64)
     active = [np.zeros(0, dtype=np.int64)] * B
+    weights = [np.zeros(0)] * B  # on the active set; the rest are zero
     mw = np.zeros((B, k))
     kkt = np.full(B, math.inf)
     grow = np.full(B, k)
@@ -444,36 +494,55 @@ def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
         viol -= 1.0
         np.maximum(viol, 0.0, out=viol)
         for i, b in enumerate(live):
-            viol[i, active[b]] = _l1_violation(on_active[i], w[b, active[b]], eps)
+            viol[i, active[b]] = _l1_violation(on_active[i], weights[b], eps)
         kkt[live] = np.maximum(viol.max(axis=1), np.abs(gc))
-        going = (kkt[live] > tol) & (iters[live] < cfg.max_iters)
-        live, viol = live[going], viol[going]
-        if not live.size:
+        going = np.flatnonzero((kkt[live] > tol) & (iters[live] < cfg.max_iters))
+        if not going.size:
             break
-        for outside, b in zip(viol, live):
-            outside[active[b]] = 0.0
-            candidates = np.flatnonzero(outside > tol)
+        for i in going:
+            b = live[i]
+            viol[i, active[b]] = 0.0
+            candidates = np.flatnonzero(viol[i] > tol)
             if candidates.size > grow[b]:
-                top = np.argpartition(outside[candidates], -grow[b])[-grow[b]:]
+                top = np.argpartition(viol[i, candidates], -grow[b])[-grow[b]:]
                 candidates = candidates[top]
             if candidates.size:
-                active[b] = np.union1d(active[b], candidates)
+                grown = np.union1d(active[b], candidates)
+                on_grown = np.zeros(grown.size)
+                on_grown[np.searchsorted(grown, active[b])] = weights[b]
+                active[b], weights[b] = grown, on_grown
+        live = live[going]
+        del gw, viol  # one m-long row per problem, not needed by the restricted solve
         grow[live] = np.minimum(2 * grow[live], X.shape[1])  # no screen admits more
         Za = np.zeros((live.size, k, max(active[b].size for b in live)))
         wa = np.zeros((live.size, Za.shape[2]))
         for i, b in enumerate(live):
             Za[i, :, : active[b].size] = cols.columns(b, active[b])
-            wa[i, : active[b].size] = w[b, active[b]]
+            wa[i, : active[b].size] = weights[b]
         wa, c[live], _, _, _, it_inner, _ = _prox_solve(
             Za, y[live], lw, wa, c[live], np.maximum(cfg.max_iters - iters[live], 1),
             0.5 * tol, eps)
         iters[live] += it_inner
         for i, b in enumerate(live):
-            w[b] = 0.0
-            w[b, active[b]] = wa[i, : active[b].size]
+            weights[b] = wa[i, : active[b].size]
         mw[live] = _mv(Za, wa)
+        del Za  # the next screen needs the rows
+    del cols  # its statistics are m-long rows per problem, as is w
+    w = np.zeros((B, X.shape[1]))
+    for b in range(B):
+        w[b, active[b]] = weights[b]
     objective = _loss(y, mw, c, lw) + np.abs(w).sum(axis=1)
     return w, c, objective, kkt, kkt <= tol, iters
+
+
+def lockstep_batch_size(k: int, m: int) -> int:
+    """How many L1 fits of k rows and m columns share one kernel call: as
+    many as keep one batch array within ``_BATCH_ENTRIES`` floats (k x m
+    per narrow problem, m per wide one), at most ``_MAX_STACK``, at least
+    one. :func:`fit_l1_batch` splits by it, and the resampling selectors
+    size their batches by it, so a batch is one kernel call."""
+    per_problem = m if m >= _WORKING_SET_MIN_COLS else k * m
+    return max(1, min(_MAX_STACK, _BATCH_ENTRIES // max(1, per_problem)))
 
 
 def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSolution]:
@@ -482,33 +551,44 @@ def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSol
     ``X`` (n, m) and ``y`` (n,) are float64 inputs already checked by the
     :class:`Dataset` rules; ``rows`` (B, k) holds each subsample's sorted row
     indices and ``scale``, if given, each fit's m column multipliers (B
-    arrays, or one (B, m) array). Consecutive fits share a kernel call as
-    long as its batch array stays within ``_BATCH_ENTRIES`` floats: k x m
-    per narrow problem, m per wide one.
+    arrays, or one (B, m) array). With ``rows=None``, X is instead the stack
+    (B, k, m) of the problems' own matrices and y their labels (B, k); the
+    call then takes X over and may overwrite it, which spares a copy.
+    Consecutive fits share a kernel call, as many as
+    :func:`lockstep_batch_size` allows.
     Fit b answers ``fit_l1_logistic(X[rows[b]], y[rows[b]], config,
     scale[b])``: to the bit on the narrow path, and to the solver tolerance
     on the wide one (see the module docstring).
     """
+    stack = None
+    if rows is None:
+        stack = X
+        B, k, m = X.shape
+        X, y, rows = X.reshape(B * k, m), y.reshape(-1), np.arange(B * k).reshape(B, k)
     B, k = rows.shape
     m = X.shape[1]
     wide = m >= _WORKING_SET_MIN_COLS
-    size = max(1, _BATCH_ENTRIES // (m if wide else k * m))
+    size = lockstep_batch_size(k, m)
     scale = [np.ones(m)] * B if scale is None else scale
     sols = []
     for at in range(0, B, size):
         part = rows[at : at + size]
         part_y = y[part]
+        part_scale = scale[at : at + size]
         c0 = np.array([_initial_intercept(v) for v in part_y])
         if wide:
-            w, c, obj, kkt, conv, iters = _fit_l1_working_set(
-                X, part_y, part, config, scale[at : at + size], c0)
+            w, c, obj, kkt, conv, iters = _fit_l1_working_set(X, part_y, part, config,
+                                                              part_scale, c0)
         else:
-            Z = X[part]
-            mean, std, keep = _column_stats(Z, axis=1)
-            Z -= mean[:, None]
-            np.divide(Z, std[:, None], out=Z, where=keep[:, None])
-            Z.swapaxes(1, 2)[~keep] = 0.0  # constant columns become zero columns
-            Z *= np.asarray(scale[at : at + size])[:, None]
+            Z = X[part] if stack is None else stack[at : at + size]
+            keep = np.empty((part.shape[0], m), dtype=bool)
+            # one matrix at a time, so temporaries stay one matrix in size
+            for z, z_keep, z_scale in zip(Z, keep, part_scale):
+                mean, std, z_keep[:] = _column_stats(z)
+                z -= mean
+                np.divide(z, std, out=z, where=z_keep)
+                z[:, ~z_keep] = 0.0  # constant columns become zero columns
+                z *= z_scale
             w, c, obj, kkt, conv, iters, _ = _prox_solve(
                 Z, part_y, config.loss_weight, np.zeros((part.shape[0], m)), c0,
                 config.max_iters, config.tol_kkt, config.support_epsilon)

@@ -9,8 +9,8 @@ of every selected cluster. Scores are selection counts out of K.
 ``resample`` is the loop this selector shares with the randomized L1
 baseline: iteration k always draws from the random stream derived from
 (master_seed, k), and the fits of each batch of consecutive iterations go
-to the solver in one call, so results are independent of thread count and
-iteration order.
+to the solver in one lockstep kernel call, so results are independent of
+thread count and iteration order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
-from .solver import SolverConfig, fit_l1_batch
+from .solver import SolverConfig, fit_l1_batch, lockstep_batch_size
 from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name here
 
 # loss weight giving useful sparsity on cluster-averaged fits at the default
@@ -33,13 +33,6 @@ from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name he
 DEFAULT_LOSS_WEIGHT = 0.5
 
 _MAX_FAILURE_FRACTION = 0.2
-# iterations per call of a selector's fit. The solver may split a call into
-# smaller lockstep kernel calls by memory but never joins two. A batch runs
-# until its slowest problem stops, and a larger one holds more memory (its
-# draws, for rss its averaged k x q matrices, and a wide batch pads its
-# active columns, k x a per problem); 32 raised the README tour's peak
-# memory by 5%
-_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -307,37 +300,40 @@ def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation:
     return SubsampleDraw(rows=rows, picked=picked)
 
 
-def resample(p: int, K: int, master_seed: int, draw, fit, threads: int = 1) -> StabilityScores:
+def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int],
+             threads: int = 1) -> StabilityScores:
     """Run K resampled fits and count how often each feature is selected.
 
     Iteration k first makes its random choices, ``draw(gen)`` with the
     generator of ``derive_stream(master_seed, k)``. The iterations then go
-    to ``fit`` in batches of ``_BATCH`` consecutive k: ``fit(draws)`` hands
-    the batch's problems to the solver in one call, which runs them in
-    lockstep, and returns (selected feature indices, SolverSolution) per
-    draw. Aborts when more than _MAX_FAILURE_FRACTION of the fits fail to
-    converge.
+    to ``fit`` in batches of consecutive k, as many as
+    ``lockstep_batch_size(*shape)`` gives for fits of the ``shape`` (rows,
+    columns) the selector fits: ``fit(draws)`` hands the batch's problems
+    to the solver, which runs them in one lockstep kernel call, and returns
+    (selected feature indices, SolverSolution) per draw. Aborts when more
+    than _MAX_FAILURE_FRACTION of the fits fail to converge.
 
-    ``threads > 1`` runs the batches on a thread pool. Every iteration owns
-    its stream and the batches do not depend on the thread count, so
-    neither do the counts. It is no clear speed-up: on a 2-vCPU machine
-    with OpenBLAS at full scale (seeds 0 and 1, four alternating runs each),
-    rss K=50 runs four batches (0.28-0.40 s on 1 thread, 0.27-0.43 s on 2,
-    medians 0.35 and 0.35 s) and rand-l1 K=70 five, which 2 threads made
-    slower (0.67-1.14 s on 1 thread, 0.80-1.48 s on 2, medians 0.82 and
-    1.10 s).
+    ``threads > 1`` runs the batches on a thread pool, when there are two or
+    more. Every iteration owns its stream and the batches do not depend on
+    the thread count, so neither do the counts. A run that fits in one batch
+    cannot be split across threads: rss with K=50 is one batch at full scale
+    and on the README tour. On a 2-vCPU machine with OpenBLAS at full scale
+    (seeds 0 and 1, four alternating runs each), 2 threads made rand-l1
+    K=70, four batches, slower: 0.65-0.88 s on 1 thread, 0.71-0.98 s on 2
+    (medians 0.72 and 0.90 s).
     """
     if threads < 1:
         raise ValueError("threads must be positive")
+    size = lockstep_batch_size(*shape)
 
     def one(start):
         draws = [draw(derive_stream(master_seed, k).generator())
-                 for k in range(start, min(start + _BATCH, K))]
+                 for k in range(start, min(start + size, K))]
         # keep no weight vector: K of them would hold K*p floats at once
         return [(selected, sol.converged, sol.kkt_residual) for selected, sol in fit(draws)]
 
-    starts = range(0, K, _BATCH)
-    if threads > 1:
+    starts = range(0, K, size)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = [r for part in pool.map(one, starts) for r in part]
     else:
@@ -381,26 +377,33 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
     X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
+    ends = np.cumsum(quotas).tolist()  # a draw picks exactly quotas[g] voxels of cluster g
+    groups = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+
     def draw(gen):
-        return draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
+        # one array of picks per draw: a batch of q small arrays per draw
+        # would hold several times the memory
+        d = draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
+        return d.rows, np.concatenate(d.picked)
 
     def fit(draws):
-        # the averaged matrices, stacked as row blocks of one matrix, are
-        # row subsamples of it
-        blocks = np.arange(len(draws) * draws[0].rows.size).reshape(len(draws), -1)
-        averaged = np.empty((blocks.size, parcellation.q))
-        for rows, d in zip(blocks, draws):
-            averaged[rows] = average_supervoxels(X, d.picked, rows=d.rows)
-        labels = np.concatenate([y[d.rows] for d in draws])
-        sols = fit_l1_batch(averaged, labels, blocks, config.solver)
-        return [(credited(d, sol), sol) for d, sol in zip(draws, sols)]
+        # the solver takes the stack of averaged matrices over, so it is the
+        # only copy
+        averaged = np.empty((len(draws), draws[0][0].size, parcellation.q))
+        for a, (rows, picks) in zip(averaged, draws):
+            a[:] = average_supervoxels(X, [picks[g] for g in groups], rows=rows)
+        labels = np.stack([y[rows] for rows, _ in draws])
+        sols = fit_l1_batch(averaged, labels, None, config.solver)
+        return [(credited(picks, sol), sol) for (_, picks), sol in zip(draws, sols)]
 
-    def credited(d, sol):
+    def credited(picks, sol):
         # every picked feature of every selected cluster
-        chosen = [d.picked[g] for g in sol.support(eps)]
-        return np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
+        chosen = np.zeros(parcellation.q, dtype=bool)
+        chosen[sol.support(eps)] = True
+        return picks[np.repeat(chosen, quotas)]
 
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, threads)
+    shape = (round_nearest(config.alpha * dataset.n), parcellation.q)
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, shape, threads)
 
 
 def threshold_scores(scores: StabilityScores, tau: float) -> np.ndarray:

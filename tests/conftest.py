@@ -10,11 +10,11 @@ def record_batches(monkeypatch):
     def install(module):
         sizes, real = [], module.resample
 
-        def recording(p, K, master_seed, draw, fit, threads=1):
+        def recording(p, K, master_seed, draw, fit, shape, threads=1):
             def fit_recorded(draws):
                 sizes.append(len(draws))
                 return fit(draws)
-            return real(p, K, master_seed, draw, fit_recorded, threads)
+            return real(p, K, master_seed, draw, fit_recorded, shape, threads)
 
         monkeypatch.setattr(module, "resample", recording)
         return sizes

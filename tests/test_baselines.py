@@ -13,7 +13,7 @@ from rss_select.baselines import (
     ttest_scores,
 )
 from rss_select.data import Dataset, derive_stream
-from rss_select import baselines, solver, stability
+from rss_select import baselines, solver
 from rss_select.solver import SolverConfig, fit_l1_logistic, standardize_columns
 from rss_select.stability import draw_row_subsample
 
@@ -223,7 +223,6 @@ def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, record_bat
     ds = _dataset(X, y)
     config = RandL1Config(solver=SolverConfig(loss_weight=0.8), K=10, master_seed=2)
     per_problem = p if p >= 1024 else 15 * p
-    monkeypatch.setattr(stability, "_BATCH", 4)
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * per_problem)
     sizes = record_batches(baselines)
     want = _rl1_manual_counts(ds, config)
@@ -232,6 +231,19 @@ def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, record_bat
         sizes.clear()
         assert_array_equal(randomized_l1(ds, config, threads=threads).counts, want)
         assert sorted(sizes) == [2, 4, 4]
+
+
+@pytest.mark.parametrize("p", [10, 1100])
+def test_randomized_l1_batches_take_the_solver_rule(record_batches, p):
+    """rand-l1 hands the solver batches of lockstep_batch_size(k, p)
+    consecutive iterations, the last one shorter, narrow and wide."""
+    rng = np.random.default_rng(17)
+    ds = _dataset(rng.normal(size=(30, p)))
+    config = RandL1Config(solver=SolverConfig(loss_weight=0.5), K=70, master_seed=5)
+    sizes = record_batches(baselines)
+    randomized_l1(ds, config)
+    assert solver.lockstep_batch_size(15, p) == 64
+    assert sizes == [64, 6]
 
 
 def test_randomized_l1_widespread_non_convergence_aborts():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -451,6 +452,19 @@ def _wide_subsamples(seed, B, n=36, m=1100, k=18):
     return X, y, rows, rng.uniform(0.5, 1.0, size=(B, m))
 
 
+def test_column_stats_in_blocks_match_the_whole_matrix(monkeypatch):
+    """Column statistics read in blocks are numpy's statistics of the whole
+    matrix bit for bit, with a short last block, on offset and scaled
+    columns."""
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(37, 1000)) * rng.uniform(0.1, 1e4, size=1000)
+    X += 1e3 * rng.normal(size=1000)
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 37 * 64)  # 15 blocks of 64 and one of 40
+    mean, std, _ = solver._column_stats(X)
+    assert mean.tobytes() == X.mean(axis=0).tobytes()
+    assert std.tobytes() == X.std(axis=0).tobytes()
+
+
 def test_subsample_stats_match_two_pass_statistics():
     """One-pass statistics over the row indicators agree with the two-pass
     ones on the drawn rows, also on offset and near-constant columns; the
@@ -533,6 +547,55 @@ def test_kernel_calls_split_by_memory_invisibly(monkeypatch, m):
                     == (one.c, one.objective, one.kkt_residual, one.n_iters))
 
 
+def _traced_peak(fit):
+    """Bytes that ``fit()`` allocates above what is held when it starts, at
+    its peak, by tracemalloc (numpy reports its buffers to it)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fit()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_narrow_batch_holds_at_most_one_stack_beyond_its_copy():
+    """A narrow call of 50 problems of 25 x 120 (the README tour's rss run)
+    allocates its standardized copy of the stack and at most one more stack:
+    the kernel works on views of the stack and gathers only half of it at
+    most. Handed a stack with ``rows=None``, it allocates at most one
+    stack."""
+    rng = np.random.default_rng(4)
+    B, k, m = 50, 25, 120
+    X = rng.normal(size=(B * k, m)) + 0.6 * rng.normal(size=(B * k, 1))
+    y = np.where(X[:, :3].sum(axis=1) + rng.normal(size=B * k) > 0, 1.0, -1.0)
+    rows = np.arange(B * k).reshape(B, k)
+    cfg = SolverConfig(loss_weight=0.5)
+    stack = X[rows]
+    assert _traced_peak(lambda: solver.fit_l1_batch(X, y, rows, cfg)) <= 2 * stack.nbytes
+    assert _traced_peak(lambda: solver.fit_l1_batch(stack, y[rows], None, cfg)) <= stack.nbytes
+
+
+def test_wide_batch_peak_per_problem():
+    """A wide call of 64 problems (25 of 50 rows, 1200 columns: the README
+    tour's rand-l1 shape) peaks below 5 m-long float rows per problem,
+    counting the batch's fixed costs: the column statistics, the active
+    columns and the kernel, but no weight row until the end."""
+    rng = np.random.default_rng(3)
+    n, m, B, k = 50, 1200, 64, 25
+    X = rng.normal(size=(n, m)) + 2.0 * rng.normal(size=m)
+    signal = X[:, :4].sum(axis=1)
+    y = np.where(signal - signal.mean() + rng.normal(size=n) > 0, 1.0, -1.0)
+    rows = np.sort(np.stack([rng.choice(n, size=k, replace=False) for _ in range(B)]), axis=1)
+    scale = rng.uniform(0.5, 1.0, size=(B, m))
+    cfg = SolverConfig(loss_weight=0.5)
+    assert _traced_peak(lambda: solver.fit_l1_batch(X, y, rows, cfg, scale)) < 5 * B * m * 8
+
+
 @st.composite
 def _narrow_stacks(draw):
     """Row subsamples of a matrix with offset columns, columns of 4.2 and of
@@ -555,26 +618,27 @@ def _narrow_stacks(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_narrow_stacks())
 def test_stacked_standardization_matches_each_matrix(instance):
-    """Column statistics of a stack equal those of each of its matrices bit
-    for bit, and the narrow stack fit_l1_batch hands the kernel is each
-    subsample's standardize_columns output, scaled, with zero columns where
-    a column is constant on the drawn rows."""
+    """The narrow stack fit_l1_batch hands the kernel is each subsample's
+    standardize_columns output, scaled, with zero columns where a column is
+    constant on the drawn rows; so is the stack it makes of a stack of
+    matrices handed over with ``rows=None``, and the fits are the same."""
     X, y, rows, scale = instance
-    stats = solver._column_stats(X[rows], axis=1)
-    for b in range(rows.shape[0]):
-        for got, want in zip(stats, solver._column_stats(X[rows[b]])):
-            assert got[b].tobytes() == want.tobytes()
     stacks, real = [], solver._prox_solve
 
     def capture(Z, *args):
         stacks.append(Z.copy())
         return real(Z, *args)
 
+    cfg = SolverConfig(loss_weight=1.0, max_iters=5)
     with mock.patch.object(solver, "_prox_solve", capture):
-        solver.fit_l1_batch(X, y, rows, SolverConfig(loss_weight=1.0, max_iters=5), scale)
-    (Z,) = stacks
-    for b in range(rows.shape[0]):
-        Zb, _, _, keep = standardize_columns(X[rows[b]])
-        want = np.zeros((rows.shape[1], X.shape[1]))
-        want[:, keep] = Zb * scale[b][keep]
-        assert Z[b].tobytes() == want.tobytes()
+        by_rows = solver.fit_l1_batch(X, y, rows, cfg, scale)
+        by_stack = solver.fit_l1_batch(X[rows], y[rows], None, cfg, scale)
+    for Z in stacks:
+        for b in range(rows.shape[0]):
+            Zb, _, _, keep = standardize_columns(X[rows[b]])
+            want = np.zeros((rows.shape[1], X.shape[1]))
+            want[:, keep] = Zb * scale[b][keep]
+            assert Z[b].tobytes() == want.tobytes()
+    for one, other in zip(by_rows, by_stack, strict=True):
+        assert one.w.tobytes() == other.w.tobytes()
+        assert (one.c, one.objective, one.n_iters) == (other.c, other.objective, other.n_iters)

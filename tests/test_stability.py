@@ -454,7 +454,6 @@ def test_counts_ignore_threads_across_lockstep_batches(monkeypatch, record_batch
     ds = Dataset(X=X, y=ds.y, geometry=ds.geometry)
     parc = _slab_parcellation(ds.p, 4)
     config = StabilityConfig(solver=DEFAULT_SOLVER, K=10, master_seed=9, block_shape=(2, 2, 1))
-    monkeypatch.setattr(stability, "_BATCH", 4)
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * 10 * 4)  # 4 fits of 10 rows x 4 clusters
     sizes = record_batches(stability)
     want = _rss_manual_counts(ds, parc, config)
@@ -463,6 +462,32 @@ def test_counts_ignore_threads_across_lockstep_batches(monkeypatch, record_batch
         sizes.clear()
         assert_array_equal(run_stability_selection(ds, parc, config, threads=threads).counts, want)
         assert sorted(sizes) == [2, 4, 4]
+
+
+def test_rss_run_that_fits_one_call_is_one_kernel_call(monkeypatch):
+    """When the solver's rule admits all K fits in one call, an rss run is
+    one batch and one lockstep kernel call, on any thread count, and starts
+    no thread pool."""
+    ds = _noise_dataset(seed=6, n=20, dims=(6, 6, 1))
+    parc = _slab_parcellation(ds.p, 4)
+    config = StabilityConfig(solver=DEFAULT_SOLVER, K=50, master_seed=3, block_shape=(2, 2, 1))
+    assert solver.lockstep_batch_size(10, 4) >= config.K
+    calls, real = [], solver._prox_solve
+
+    def counting(Z, *args):
+        calls.append(Z.shape[0])
+        return real(Z, *args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single batch started a thread pool")
+
+    monkeypatch.setattr(solver, "_prox_solve", counting)
+    monkeypatch.setattr(stability, "ThreadPoolExecutor", no_pool)
+    serial = run_stability_selection(ds, parc, config)
+    assert calls == [50]
+    pooled = run_stability_selection(ds, parc, config, threads=2)
+    assert calls == [50, 50]
+    assert_array_equal(serial.counts, pooled.counts)
 
 
 def test_draw_iteration_replays_deterministically():
