@@ -263,7 +263,6 @@ def cmd_eval(args):
     values = loaded["score"]
     inputs = {str(args.scores): sha256_file(args.scores)}
     outputs = []
-    did_something = False
     if args.truth:
         truth = load_ground_truth(args.truth)
         inputs[str(args.truth)] = sha256_file(args.truth)
@@ -284,10 +283,9 @@ def cmd_eval(args):
             "n_truth": int(truth.features.size),
         })
         outputs += [pr_path, summary_path]
-        did_something = True
-    if args.train and args.test:
-        if args.tau is None:
-            raise ValueError("accuracy evaluation needs --tau")
+    if args.train or args.test:
+        if not (args.train and args.test and args.tau is not None):
+            raise ValueError("accuracy evaluation needs --train, --test and --tau")
         train = load_dataset(args.train)
         test = load_dataset(args.test)
         inputs.update(_dataset_checksums(args.train))
@@ -304,7 +302,6 @@ def cmd_eval(args):
             "accuracy": acc,
         })
         outputs.append(acc_path)
-        did_something = True
     if args.cv_train:
         train = load_dataset(args.cv_train)
         inputs.update(_dataset_checksums(args.cv_train))
@@ -320,8 +317,7 @@ def cmd_eval(args):
             "seed": args.seed,
         })
         outputs.append(cv_path)
-        did_something = True
-    if not did_something:
+    if not outputs:
         raise ValueError("eval needs --truth, --train/--test/--tau, or --cv-train")
     _write_manifest(out_dir, "eval", args, inputs, outputs, started, t0)
     print(f"wrote {', '.join(str(p) for p in outputs)}")

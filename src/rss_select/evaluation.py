@@ -104,9 +104,10 @@ def cv_threshold(dataset: Dataset, scores, grid=DEFAULT_THRESHOLD_GRID,
                  n_folds: int = 5, lambda_ridge: float = 1.0, seed: int = 0) -> float:
     """Pick the score threshold whose selected features cross-validate best.
 
-    Folds are stratified and deterministic in the seed. Thresholds selecting
-    zero features are skipped (error if that empties the grid); accuracy ties
-    go to the larger threshold.
+    Folds are stratified and deterministic in the seed. ``n_folds`` must lie
+    in [2, the smaller class count], so that every fold tests, and trains on,
+    both classes. Thresholds selecting zero features are skipped (error if
+    that empties the grid); accuracy ties go to the larger threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (dataset.p,):
@@ -114,12 +115,11 @@ def cv_threshold(dataset: Dataset, scores, grid=DEFAULT_THRESHOLD_GRID,
     grid = sorted(float(t) for t in grid)
     if not grid:
         raise ValueError("grid must be non-empty")
+    smaller = min((dataset.y == 1).sum(), (dataset.y == -1).sum())
+    if not 2 <= n_folds <= smaller:
+        raise ValueError(f"n_folds must lie in [2, {smaller}] (2 to the smaller class count)")
     fold_of = _stratified_folds(dataset.y, n_folds, seed)
     folds = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(n_folds)]
-    for train_rows, _ in folds:
-        train_y = dataset.y[train_rows]
-        if (train_y == 1).sum() == 0 or (train_y == -1).sum() == 0:
-            raise ValueError("too few samples per class for stratified folds")
     X, y = dataset.X, dataset.y
     best_tau, best_acc = None, -1.0
     for tau in grid:

@@ -4,7 +4,8 @@ Each resampling iteration draws a row subsample, picks a per-cluster quota of
 features (spatially, by accumulating random blocks over the voxel grid, then
 trimming), averages each cluster's picked features into one column, fits the
 L1 logistic solver on the averaged matrix, and credits every picked feature
-of every selected cluster. Scores are selection counts out of K.
+of every selected cluster. Scores are selection counts out of K. A draw's
+picks are one flat array, cluster by cluster (see ``_quota_trim``).
 
 ``resample`` is the loop this selector shares with the randomized L1
 baseline: iteration k always draws from the random stream derived from
@@ -57,14 +58,6 @@ class StabilityConfig:
         if len(block) != 3 or any(b < 1 for b in block):
             raise ValueError("block_shape must be three positive integers")
         object.__setattr__(self, "block_shape", block)
-
-
-@dataclass(frozen=True)
-class SubsampleDraw:
-    """The random choices of one iteration: rows plus per-cluster features."""
-
-    rows: np.ndarray
-    picked: tuple[np.ndarray, ...]
 
 
 def round_nearest(x: float) -> int:
@@ -145,7 +138,7 @@ class BlockCover:
         return self.features[self.starts[anchor_index] : self.starts[anchor_index + 1]]
 
     def draw(self, gen: np.random.Generator, parcellation: Parcellation,
-             quotas: np.ndarray) -> tuple[np.ndarray, ...]:
+             quotas: np.ndarray) -> np.ndarray:
         """Accumulate random blocks until every cluster quota is met, then trim.
 
         Anchors are drawn one ``gen.integers(n_anchors)`` at a time, in
@@ -154,8 +147,8 @@ class BlockCover:
         anchor after which every quota is met, and the generator is rewound
         to draw exactly that prefix. The picked voxels then go through
         ``_quota_trim``, which keeps a uniformly random quota of each
-        cluster with one more generator call, so each cluster returns
-        exactly its quota, sorted. Each quota must lie in [1, cluster size].
+        cluster with one more generator call: the flat picks hold exactly
+        each cluster's quota. Each quota must lie in [1, cluster size].
         """
         quotas = _checked_quotas(parcellation, quotas)
         assignment = parcellation.assignment
@@ -217,9 +210,9 @@ def _checked_quotas(parcellation: Parcellation, quotas) -> np.ndarray:
 
 
 def _quota_trim(gen: np.random.Generator, picked: np.ndarray, assignment: np.ndarray,
-                quotas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A uniformly random ``quotas[g]`` of the ``picked`` voxels of each
-    cluster g, ascending, one array per cluster id.
+                quotas: np.ndarray) -> np.ndarray:
+    """Flat picks: a uniformly random ``quotas[g]`` of the ``picked`` voxels
+    of each cluster g, ascending, after those of clusters 0 to g-1.
 
     One ``gen.integers(2**s, size=m)`` call draws a key for each of the m
     picked voxels, taken cluster ids ascending and voxel indices ascending
@@ -242,28 +235,25 @@ def _quota_trim(gen: np.random.Generator, picked: np.ndarray, assignment: np.nda
     rank = np.arange(voxels.size) - np.repeat(np.cumsum(counts) - counts, counts)
     keep = np.empty(voxels.size, dtype=bool)
     keep[order] = rank < np.repeat(quotas, counts)
-    voxels = voxels[keep]
-    bounds = np.cumsum(quotas).tolist()
-    return tuple(voxels[i:j] for i, j in zip([0, *bounds[:-1]], bounds))
+    return voxels[keep]
 
 
-def average_supervoxels(X, picked, parcellation: Parcellation | None = None,
-                        rows: np.ndarray | None = None) -> np.ndarray:
-    """Column-average each cluster's picked features over ``rows`` (all rows
-    by default): len(rows) x len(picked).
+def average_supervoxels(X, picked, sizes, rows: np.ndarray | None = None) -> np.ndarray:
+    """Average each cluster's columns of the flat ``picked`` (``sizes[g]`` for
+    cluster g, in turn) over ``rows``, all by default: len(rows) x len(sizes).
 
     Each average adds its picks left to right onto +0.0 and divides by their
     count, as ``X[:, cols].mean(axis=1)`` does on two or more rows.
     """
     X = np.asarray(X, dtype=np.float64)
-    if parcellation is not None and len(picked) != parcellation.q:
-        raise ValueError("picked feature groups do not match the parcellation")
-    if not len(picked):
+    cols = np.asarray(picked)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not sizes.size:
         raise ValueError("no picked feature groups")
-    sizes = np.array([len(cols) for cols in picked], dtype=np.int64)
-    if (sizes == 0).any():
+    if (sizes < 1).any():
         raise ValueError(f"cluster {int(np.argmin(sizes))} has no picked features")
-    cols = np.concatenate(picked)
+    if sizes.sum() != cols.size:
+        raise ValueError(f"cluster sizes add up to {sizes.sum()}, not {cols.size} picks")
     if cols.min() < 0 or cols.max() >= X.shape[1]:
         raise ValueError(f"picked feature indices must lie in [0, {X.shape[1]})")
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
@@ -287,17 +277,15 @@ def average_supervoxels(X, picked, parcellation: Parcellation | None = None,
 
 
 def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation: Parcellation,
-                   quotas: np.ndarray, cover: BlockCover | None = None) -> SubsampleDraw:
-    """The random draws of one iteration: rows first, then per-cluster
-    features (random blocks over the cover, or, when there is no cover,
+                   quotas: np.ndarray, cover: BlockCover | None = None) -> tuple:
+    """The random draws of one iteration, ``(rows, picks)``: rows first, then
+    flat picks (random blocks over the cover, or, when there is no cover,
     ``_quota_trim`` over every voxel: plain stratified draws)."""
     rows = draw_row_subsample(n, alpha, gen)
     if cover is not None:
-        picked = cover.draw(gen, parcellation, quotas)
-    else:
-        picked = _quota_trim(gen, np.ones(parcellation.p, dtype=bool), parcellation.assignment,
-                            _checked_quotas(parcellation, quotas))
-    return SubsampleDraw(rows=rows, picked=picked)
+        return rows, cover.draw(gen, parcellation, quotas)
+    return rows, _quota_trim(gen, np.ones(parcellation.p, dtype=bool), parcellation.assignment,
+                             _checked_quotas(parcellation, quotas))
 
 
 def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int],
@@ -377,21 +365,15 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
     X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
-    ends = np.cumsum(quotas).tolist()  # a draw picks exactly quotas[g] voxels of cluster g
-    groups = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-
     def draw(gen):
-        # one array of picks per draw: a batch of q small arrays per draw
-        # would hold several times the memory
-        d = draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
-        return d.rows, np.concatenate(d.picked)
+        return draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
 
     def fit(draws):
         # the solver takes the stack of averaged matrices over, so it is the
         # only copy
         averaged = np.empty((len(draws), draws[0][0].size, parcellation.q))
         for a, (rows, picks) in zip(averaged, draws):
-            a[:] = average_supervoxels(X, [picks[g] for g in groups], rows=rows)
+            a[:] = average_supervoxels(X, picks, quotas, rows=rows)
         labels = np.stack([y[rows] for rows, _ in draws])
         sols = fit_l1_batch(averaged, labels, None, config.solver)
         return [(credited(picks, sol), sol) for (_, picks), sol in zip(draws, sols)]

@@ -204,7 +204,7 @@ def test_criterion_4_quota_exactness_and_inclusion():
         cover = BlockCover(geometry, (3, 3, 2))
         gen = RngStream(500 + trial, 0).generator()
         for _ in range(25):
-            picked = cover.draw(gen, parcellation, quotas)
+            picked = np.split(cover.draw(gen, parcellation, quotas), np.cumsum(quotas)[:-1])
             draws += 1
             exact = exact and all(p.size == quotas[g] for g, p in enumerate(picked))
 
@@ -223,7 +223,7 @@ def test_criterion_4_quota_exactness_and_inclusion():
     mc_draws = 20000
     hits = np.zeros(freq_grid.p)
     for _ in range(mc_draws):
-        for picked in cover.draw(gen, parcellation, quotas):
+        for picked in np.split(cover.draw(gen, parcellation, quotas), np.cumsum(quotas)[:-1]):
             hits[picked] += 1
     max_dev = float(np.abs(hits / mc_draws - beta).max())
 

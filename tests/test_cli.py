@@ -202,6 +202,27 @@ def test_eval_with_no_mode_selected_fails(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", ["--train", "--test"])
+def test_eval_accuracy_needs_both_train_and_test(workspace, tmp_path, capsys, given):
+    out = tmp_path / "acc"
+    code = main([
+        "eval", "--scores", str(workspace["rss_scores"]), "--truth", str(workspace["truth"]),
+        given, str(workspace["data"]), "--tau", "0.1", "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert "needs --train, --test and --tau" in capsys.readouterr().err
+    assert not (out / "accuracy.json").exists()
+
+
+def test_eval_cv_rejects_fold_count_outside_the_classes(workspace, tmp_path, capsys):
+    code = main([
+        "eval", "--scores", str(workspace["rss_scores"]), "--cv-train", str(workspace["data"]),
+        "--folds", "0", "--out-dir", str(tmp_path / "cv"),
+    ])
+    assert code == 1
+    assert "n_folds must lie in [2, 10] (2 to the smaller class count)" in capsys.readouterr().err
+
+
 def test_perm_writes_false_positive_report(workspace, tmp_path):
     out = tmp_path / "perm"
     assert main([

@@ -159,6 +159,16 @@ def test_cv_threshold_errors_when_nothing_selectable():
         cv_threshold(ds, scores[:-1])
 
 
+@pytest.mark.parametrize("n_folds", [0, 1, 11])
+def test_cv_threshold_needs_two_to_the_smaller_class_count_folds(n_folds):
+    ds, scores = _planted_cv_dataset()
+    keep = np.flatnonzero(ds.y == 1).tolist() + np.flatnonzero(ds.y == -1)[:10].tolist()
+    ds = Dataset(X=ds.X[keep], y=ds.y[keep])  # 15 rows of class +1, 10 of class -1
+    assert cv_threshold(ds, scores, n_folds=10) == 0.5
+    with pytest.raises(ValueError, match=r"n_folds must lie in \[2, 10\]"):
+        cv_threshold(ds, scores, n_folds=n_folds)
+
+
 def test_prediction_accuracy_separable_feature_is_perfect():
     ds, _ = _planted_cv_dataset(seed=3)
     assert prediction_accuracy(ds, ds, {0, 1}) == 1.0

@@ -42,6 +42,11 @@ def _full_grid_geometry(dims):
     return GridGeometry(dims=dims, mask=coords)
 
 
+def _by_cluster(picks, quotas):
+    # a draw's flat picks, one array per cluster
+    return np.split(picks, np.cumsum(quotas)[:-1])
+
+
 def _quadrant_parcellation(geometry):
     # 8x8x1 grid split into four 4x4 quadrants
     x, y = geometry.mask[:, 0], geometry.mask[:, 1]
@@ -122,7 +127,8 @@ def test_block_subsample_beta_one_picks_everything():
     geometry = _full_grid_geometry((8, 8, 1))
     parc = _quadrant_parcellation(geometry)
     quotas = cluster_quotas(parc, 1.0)
-    picked = BlockCover(geometry, (2, 2, 1)).draw(RngStream(4, 0).generator(), parc, quotas)
+    picks = BlockCover(geometry, (2, 2, 1)).draw(RngStream(4, 0).generator(), parc, quotas)
+    picked = _by_cluster(picks, quotas)
     members = parc.members()
     assert len(picked) == 4
     for g in range(4):
@@ -134,7 +140,8 @@ def test_block_subsample_small_cluster_quota_is_one():
     geometry = _full_grid_geometry((10, 1, 1))
     parc = Parcellation(assignment=np.zeros(10, dtype=np.int64), q=1)
     quotas = cluster_quotas(parc, 0.1)
-    picked = BlockCover(geometry, (3, 1, 1)).draw(RngStream(5, 0).generator(), parc, quotas)
+    picks = BlockCover(geometry, (3, 1, 1)).draw(RngStream(5, 0).generator(), parc, quotas)
+    picked = _by_cluster(picks, quotas)
     assert len(picked) == 1
     assert picked[0].size == 1
 
@@ -150,7 +157,7 @@ def test_block_subsample_quota_exactness_on_random_parcellations():
         parc = Parcellation(assignment=assignment.astype(np.int64), q=q)
         beta = float(rng.uniform(0.05, 0.6))
         quotas = cluster_quotas(parc, beta)
-        picked = BlockCover(geometry, (3, 3, 2)).draw(gen, parc, quotas)
+        picked = _by_cluster(BlockCover(geometry, (3, 3, 2)).draw(gen, parc, quotas), quotas)
         members = parc.members()
         for g in range(q):
             assert picked[g].size == quotas[g]
@@ -164,7 +171,7 @@ def test_block_subsample_deterministic_for_stream():
     quotas = cluster_quotas(parc, 0.25)
     a = BlockCover(geometry, (2, 2, 1)).draw(RngStream(8, 3).generator(), parc, quotas)
     b = BlockCover(geometry, (2, 2, 1)).draw(RngStream(8, 3).generator(), parc, quotas)
-    for pa, pb in zip(a, b):
+    for pa, pb in zip(_by_cluster(a, quotas), _by_cluster(b, quotas)):
         assert_array_equal(pa, pb)
 
 
@@ -184,7 +191,7 @@ def test_block_subsample_inclusion_frequency_and_adjacency():
     hits = np.zeros(geometry.p)
     joint = np.zeros((geometry.p, geometry.p))
     for _ in range(draws):
-        picked = cover.draw(gen, parc, quotas)
+        picked = _by_cluster(cover.draw(gen, parc, quotas), quotas)
         flat = np.concatenate(picked)
         hits[flat] += 1
         joint[np.ix_(flat, flat)] += 1
@@ -214,7 +221,7 @@ def test_block_draw_rejects_quotas_outside_cluster_sizes():
     with pytest.raises(ValueError, match="shape"):
         cover.draw(gen, parc, np.array([4, 4, 4]))
     assert gen.bit_generator.state == state
-    picked = cover.draw(gen, parc, np.array([16, 1, 16, 1]))
+    picked = _by_cluster(cover.draw(gen, parc, np.array([16, 1, 16, 1])), [16, 1, 16, 1])
     assert [g.size for g in picked] == [16, 1, 16, 1]
 
 
@@ -259,7 +266,7 @@ def test_block_draw_replays_reference(instance, seed):
     _, starts, features = oracles.block_cover_reference(geometry, block)
     gen, ref_gen = (RngStream(seed, 0).generator() for _ in range(2))
     for _ in range(3):
-        picked = cover.draw(gen, parc, quotas)
+        picked = _by_cluster(cover.draw(gen, parc, quotas), quotas)
         want = oracles.block_draw_reference(starts, features, ref_gen, parc, quotas)
         assert len(picked) == len(want)
         for got, exp in zip(picked, want):
@@ -286,10 +293,10 @@ def test_quota_trim_picks_uniform_subsets(fallback):
     for k in range(5000):
         gen = derive_stream(21, k).generator()
         if fallback:
-            got = draw_iteration(gen, 4, 0.5, parc, quotas).picked
+            got = _by_cluster(draw_iteration(gen, 4, 0.5, parc, quotas)[1], quotas)
             assert np.isin(got[1], members[1]).all()
         else:
-            got = stability._quota_trim(gen, picked, assignment, quotas)
+            got = _by_cluster(stability._quota_trim(gen, picked, assignment, quotas), quotas)
             assert np.isin(got[1], [3, 6]).all()
         assert [g.size for g in got] == [2, 1]
         assert_array_equal(got[0], np.sort(got[0]))
@@ -311,28 +318,29 @@ def test_average_supervoxels_examples():
     # constant picked columns stay constant through the mean
     X = np.ones((3, 4))
     X[:, [1, 2]] = 3.0
-    out = average_supervoxels(X, (np.array([1, 2]),))
+    out = average_supervoxels(X, np.array([1, 2]), [2])
     assert_array_equal(out, np.full((3, 1), 3.0))
 
     # singleton picks reduce to a column subset
     rng = np.random.default_rng(10)
     X = rng.normal(size=(5, 6))
-    out = average_supervoxels(X, (np.array([4]), np.array([0])))
+    out = average_supervoxels(X, np.array([4, 0]), [1, 1])
     assert_array_equal(out, X[:, [4, 0]])
 
     # picked values {1, 3} per row average to 2
     X = np.array([[1.0, 3.0], [3.0, 1.0]])
-    out = average_supervoxels(X, (np.array([0, 1]),))
+    out = average_supervoxels(X, np.array([0, 1]), [2])
     assert_array_equal(out, np.full((2, 1), 2.0))
 
 
 def test_average_supervoxels_rejects_empty_cluster_pick():
     X = np.ones((2, 3))
     with pytest.raises(ValueError, match="no picked"):
-        average_supervoxels(X, (np.array([0]), np.array([], dtype=np.int64)))
-    parc = Parcellation(assignment=np.array([0, 1, 1]), q=2)
-    with pytest.raises(ValueError, match="parcellation"):
-        average_supervoxels(X, (np.array([0]),), parc)
+        average_supervoxels(X, np.array([0]), [1, 0])
+    # cluster sizes that do not add up to the pick count
+    for picks, sizes in [([0], [1, 1]), ([0, 1, 2], [1, 1])]:
+        with pytest.raises(ValueError, match="add up"):
+            average_supervoxels(X, np.array(picks), sizes)
 
 
 def test_average_supervoxels_rejects_out_of_range_picks():
@@ -341,9 +349,9 @@ def test_average_supervoxels_rejects_out_of_range_picks():
     X = np.arange(12.0).reshape(3, 4)
     for cols in ([-1], [4], [0, 2, 7]):
         with pytest.raises(ValueError, match=r"\[0, 4\)"):
-            average_supervoxels(X, (np.array([1]), np.array(cols)))
+            average_supervoxels(X, np.array([1, *cols]), [1, len(cols)])
         with pytest.raises(ValueError, match=r"\[0, 4\)"):
-            average_supervoxels(X, (np.array(cols),), rows=np.array([0, 2]))
+            average_supervoxels(X, np.array(cols), [len(cols)], rows=np.array([0, 2]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -359,11 +367,13 @@ def test_average_supervoxels_replays_reference(seed, n_rows, p, q, all_rows):
     X[rng.random(X.shape) < 0.2] = -0.0
     X[rng.random(X.shape) < 0.1] = 0.0
     picked = tuple(rng.integers(0, p, size=int(rng.integers(1, 30))) for _ in range(q))
+    flat, sizes = np.concatenate(picked), [cols.size for cols in picked]
     if all_rows:
-        got, want = average_supervoxels(X, picked), oracles.average_supervoxels_reference(X, picked)
+        got = average_supervoxels(X, flat, sizes)
+        want = oracles.average_supervoxels_reference(X, picked)
     else:
         rows = np.sort(rng.choice(n, size=n_rows, replace=False))
-        got = average_supervoxels(X, picked, rows=rows)
+        got = average_supervoxels(X, flat, sizes, rows=rows)
         want = oracles.average_supervoxels_reference(X[rows], picked)
     assert got.shape == want.shape
     assert got.flags.c_contiguous
@@ -497,12 +507,14 @@ def test_draw_iteration_replays_deterministically():
     quotas = cluster_quotas(parc, config.beta)
     cover = BlockCover(ds.geometry, config.block_shape)
     for k in range(3):
-        a, b = (draw_iteration(derive_stream(config.master_seed, k).generator(), ds.n,
-                               config.alpha, parc, quotas, cover)
-                for _ in range(2))
-        assert_array_equal(a.rows, b.rows)
-        assert a.rows.size == round_nearest(config.alpha * ds.n)
-        for g, (pa, pb) in enumerate(zip(a.picked, b.picked)):
+        (rows_a, picks_a), (rows_b, picks_b) = (
+            draw_iteration(derive_stream(config.master_seed, k).generator(), ds.n,
+                           config.alpha, parc, quotas, cover)
+            for _ in range(2))
+        assert_array_equal(rows_a, rows_b)
+        assert rows_a.size == round_nearest(config.alpha * ds.n)
+        for g, (pa, pb) in enumerate(zip(_by_cluster(picks_a, quotas),
+                                         _by_cluster(picks_b, quotas))):
             assert_array_equal(pa, pb)
             assert pa.size == quotas[g]
 
@@ -514,11 +526,12 @@ def _rss_manual_counts(ds, parc, config):
     counts = np.zeros(ds.p, dtype=np.int64)
     for k in range(config.K):
         gen = derive_stream(config.master_seed, k).generator()
-        draw = draw_iteration(gen, ds.n, config.alpha, parc, quotas, cover)
-        averaged = average_supervoxels(ds.X[draw.rows], draw.picked)
-        sol = fit_l1_logistic(averaged, ds.y[draw.rows], config.solver)
+        rows, picks = draw_iteration(gen, ds.n, config.alpha, parc, quotas, cover)
+        averaged = average_supervoxels(ds.X[rows], picks, quotas)
+        sol = fit_l1_logistic(averaged, ds.y[rows], config.solver)
+        picked = _by_cluster(picks, quotas)
         for g in sol.support(config.solver.support_epsilon):
-            counts[draw.picked[g]] += 1
+            counts[picked[g]] += 1
     return counts
 
 
