@@ -77,9 +77,9 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
-    def draw(gen):
-        rows = draw_row_subsample(dataset.n, config.row_fraction, gen)
-        return rows, gen.uniform(config.weakness, 1.0, size=dataset.p)
+    def draw(gens):
+        return [(draw_row_subsample(dataset.n, config.row_fraction, gen),
+                 gen.uniform(config.weakness, 1.0, size=dataset.p)) for gen in gens]
 
     def fit(draws):
         sols = fit_l1_batch(X, y, np.stack([rows for rows, _ in draws]), config.solver,

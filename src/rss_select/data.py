@@ -114,6 +114,15 @@ class Dataset:
         return self.X.shape[1]
 
 
+def with_permuted_labels(dataset: Dataset, order) -> Dataset:
+    """``dataset`` with labels ``y[order]``: the same X and geometry, X not scanned again."""
+    if not np.array_equal(np.sort(order), np.arange(dataset.n)):
+        raise ValueError(f"order must be a permutation of the {dataset.n} rows")
+    out = object.__new__(Dataset)
+    vars(out).update(X=dataset.X, y=dataset.y[order], geometry=dataset.geometry)
+    return out
+
+
 @dataclass(frozen=True)
 class Parcellation:
     """Assignment of each feature to one of q clusters; every cluster non-empty.

@@ -11,7 +11,8 @@ picks are one flat array, cluster by cluster (see ``_quota_trim``).
 baseline: iteration k always draws from the random stream derived from
 (master_seed, k), and the fits of each batch of consecutive iterations go
 to the solver in one lockstep kernel call, so results are independent of
-thread count and iteration order.
+thread count and iteration order. Only the fits read labels, so rss runs of
+one key inside ``sharing_designs`` share one design (cover, draws, averages).
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +38,8 @@ from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name he
 DEFAULT_LOSS_WEIGHT = 0.5
 
 _MAX_FAILURE_FRACTION = 0.2
+# the design slot of the sharing_designs scope in progress, None outside one
+_DESIGNS: ContextVar[dict | None] = ContextVar("rss_designs", default=None)
 
 
 @dataclass(frozen=True)
@@ -289,36 +295,37 @@ def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation:
 
 
 def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int],
-             threads: int = 1) -> StabilityScores:
+             threads: int = 1, designs: dict | None = None) -> StabilityScores:
     """Run K resampled fits and count how often each feature is selected.
 
-    Iteration k first makes its random choices, ``draw(gen)`` with the
-    generator of ``derive_stream(master_seed, k)``. The iterations then go
-    to ``fit`` in batches of consecutive k, as many as
-    ``lockstep_batch_size(*shape)`` gives for fits of the ``shape`` (rows,
-    columns) the selector fits: ``fit(draws)`` hands the batch's problems
-    to the solver, which runs them in one lockstep kernel call, and returns
-    (selected feature indices, SolverSolution) per draw. Aborts when more
-    than _MAX_FAILURE_FRACTION of the fits fail to converge.
+    Iterations go in batches of consecutive k, as many as
+    ``lockstep_batch_size(*shape)`` gives for fits of ``shape`` (rows,
+    columns). ``draw(gens)`` makes a batch's design, iteration k drawing
+    from ``derive_stream(master_seed, k)``; ``fit(design)`` hands its
+    problems to the solver in one lockstep kernel call and returns
+    (selected feature indices, SolverSolution) for each. ``designs``, if
+    given, maps (start, stop) to designs made so far and takes those drawn
+    now; ``fit`` must then leave them as they are. Aborts when more than
+    _MAX_FAILURE_FRACTION of the fits do not converge.
 
     ``threads > 1`` runs the batches on a thread pool, when there are two or
     more. Every iteration owns its stream and the batches do not depend on
     the thread count, so neither do the counts. A run that fits in one batch
     cannot be split across threads: rss with K=50 is one batch at full scale
-    and on the README tour. On a 2-vCPU machine with OpenBLAS at full scale
-    (seeds 0 and 1, four alternating runs each), 2 threads made rand-l1
-    K=70, four batches, slower: 0.65-0.88 s on 1 thread, 0.71-0.98 s on 2
-    (medians 0.72 and 0.90 s).
+    and on the README tour. The README gives measured thread timings.
     """
     if threads < 1:
         raise ValueError("threads must be positive")
     size = lockstep_batch_size(*shape)
 
     def one(start):
-        draws = [draw(derive_stream(master_seed, k).generator())
-                 for k in range(start, min(start + size, K))]
+        batch = (start, min(start + size, K))
+        design = (designs or {}).get(batch) or draw(
+            [derive_stream(master_seed, k).generator() for k in range(*batch)])
+        if designs is not None:
+            designs[batch] = design
         # keep no weight vector: K of them would hold K*p floats at once
-        return [(selected, sol.converged, sol.kkt_residual) for selected, sol in fit(draws)]
+        return [(selected, sol.converged, sol.kkt_residual) for selected, sol in fit(design)]
 
     starts = range(0, K, size)
     if threads > 1 and len(starts) > 1:
@@ -343,40 +350,60 @@ def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int]
     return StabilityScores(counts=counts, K=K)
 
 
+@contextmanager
+def sharing_designs():
+    """Share rss designs between runs in this scope and thread, one at a
+    time: that of the latest run's key (X, parcellation and geometry, held
+    so their ids stay theirs; alpha, beta, block shape, master seed, K). A
+    design is K averaged k x q matrices, K rows and flat picks, and the
+    cover (3.8, 1.1 and 6.3 MiB at full scale, K=50), freed with the scope."""
+    token = _DESIGNS.set({})
+    try:
+        yield
+    finally:
+        _DESIGNS.reset(token)
+
+
 def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
                             config: StabilityConfig, threads: int = 1) -> StabilityScores:
     """Full stability selection pass; scores are selection counts out of K.
 
     The thread count never changes the result (see ``resample``). Without
     grid geometry the spatial step degrades to plain stratified sampling (a
-    warning is emitted).
+    warning is emitted). Inside ``sharing_designs`` it reuses the design of
+    an earlier run of its key, fitting copies of the averaged stacks.
     """
     if parcellation.p != dataset.p:
         raise ValueError("parcellation and dataset disagree on feature count")
-    cover = None
-    if dataset.geometry is not None:
-        cover = BlockCover(dataset.geometry, config.block_shape)
-    else:
-        import warnings
-
+    if dataset.geometry is None:
         warnings.warn("dataset has no grid geometry; falling back to stratified "
                       "per-cluster sampling without blocks", stacklevel=2)
+    X, y, geometry = dataset.X, dataset.y.astype(np.float64), dataset.geometry
+    slot = _DESIGNS.get()  # read here: pool threads do not inherit it
+    memo = {} if slot is None else slot
+    key = (id(X), id(parcellation), id(geometry), config.alpha, config.beta,
+           config.block_shape, config.master_seed, config.K)
+    if memo.get("key") != key:
+        cover = None if geometry is None else BlockCover(geometry, config.block_shape)
+        memo.update(key=key, held=(X, parcellation, geometry), cover=cover, batches={})
+    cover = memo["cover"]
     quotas = cluster_quotas(parcellation, config.beta)
-    X, y = dataset.X, dataset.y.astype(np.float64)
     eps = config.solver.support_epsilon
 
-    def draw(gen):
-        return draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
-
-    def fit(draws):
-        # the solver takes the stack of averaged matrices over, so it is the
-        # only copy
+    def draw(gens):
+        draws = [draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
+                 for gen in gens]
         averaged = np.empty((len(draws), draws[0][0].size, parcellation.q))
         for a, (rows, picks) in zip(averaged, draws):
             a[:] = average_supervoxels(X, picks, quotas, rows=rows)
-        labels = np.stack([y[rows] for rows, _ in draws])
-        sols = fit_l1_batch(averaged, labels, None, config.solver)
-        return [(credited(picks, sol), sol) for (_, picks), sol in zip(draws, sols)]
+        return np.stack([rows for rows, _ in draws]), [picks for _, picks in draws], averaged
+
+    def fit(design):
+        rows, picks, averaged = design
+        # the solver standardizes the stack in place: a shared one is copied
+        stack = averaged if slot is None else averaged.copy()
+        sols = fit_l1_batch(stack, y[rows], None, config.solver)
+        return [(credited(p, sol), sol) for p, sol in zip(picks, sols)]
 
     def credited(picks, sol):
         # every picked feature of every selected cluster
@@ -385,7 +412,8 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         return picks[np.repeat(chosen, quotas)]
 
     shape = (round_nearest(config.alpha * dataset.n), parcellation.q)
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, shape, threads)
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, shape, threads,
+                    None if slot is None else memo["batches"])
 
 
 def threshold_scores(scores: StabilityScores, tau: float) -> np.ndarray:

@@ -4,17 +4,17 @@ import pytest
 @pytest.fixture
 def record_batches(monkeypatch):
     """``record_batches(module)`` wraps the ``resample`` that ``module``
-    calls and returns a list that gets the size of every batch of draws its
-    ``fit`` receives."""
+    calls and returns a list that gets the size of every batch its ``draw``
+    receives."""
 
     def install(module):
         sizes, real = [], module.resample
 
-        def recording(p, K, master_seed, draw, fit, shape, threads=1):
-            def fit_recorded(draws):
-                sizes.append(len(draws))
-                return fit(draws)
-            return real(p, K, master_seed, draw, fit_recorded, shape, threads)
+        def recording(p, K, master_seed, draw, fit, shape, threads=1, designs=None):
+            def draw_recorded(gens):
+                sizes.append(len(gens))
+                return draw(gens)
+            return real(p, K, master_seed, draw_recorded, fit, shape, threads, designs)
 
         monkeypatch.setattr(module, "resample", recording)
         return sizes

@@ -13,6 +13,7 @@ from rss_select.data import (
     StabilityScores,
     derive_stream,
     load_dataset,
+    with_permuted_labels,
     save_dataset,
     sha256_file,
 )
@@ -211,6 +212,19 @@ def test_dataset_validation():
     ds = Dataset(X=X, y=np.array([1, -1, 1]))
     assert ds.n == 3 and ds.p == 2
     assert ds.X.flags["C_CONTIGUOUS"]
+
+
+def test_with_permuted_labels_keeps_x_and_checks_the_order():
+    rng = np.random.default_rng(3)
+    ds = _random_dataset(rng, 6, 5, with_geometry=True)
+    order = np.array([5, 0, 4, 1, 3, 2])
+    out = with_permuted_labels(ds, order)
+    assert out.X is ds.X and out.geometry is ds.geometry
+    assert out.y.dtype == np.int64
+    np.testing.assert_array_equal(out.y, ds.y[order])
+    for bad in (np.array([0, 0, 1, 2, 3, 4]), order[:5], np.arange(7)):
+        with pytest.raises(ValueError, match="permutation"):
+            with_permuted_labels(ds, bad)
 
 
 def test_grid_geometry_validation():

@@ -1,18 +1,26 @@
 """Evaluation harness tests: PR curves, top-T, CV threshold, permutation FP."""
 
+import dataclasses
+import itertools
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rss_select.data import Dataset, StabilityScores
-from rss_select.baselines import ttest_scores
+from rss_select import solver, stability
+from rss_select.data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
+from rss_select.baselines import RandL1Config, randomized_l1, ttest_scores
 from rss_select.evaluation import (
+    PermutationReport,
     cv_threshold,
     permutation_fp_estimate,
     precision_recall_curve,
     prediction_accuracy,
     top_t_selection,
 )
+from rss_select.solver import SolverConfig
+from rss_select.stability import StabilityConfig, threshold_scores
 
 import oracles
 
@@ -241,3 +249,231 @@ def test_permutation_validation():
         permutation_fp_estimate(ds, _threshold_selector, tau=0.5, B=0)
     with pytest.raises(ValueError, match="finite"):
         permutation_fp_estimate(ds, _threshold_selector, tau=float("inf"), B=2)
+
+
+# --- permutation estimate over rss: designs shared across replicates ---
+
+
+def _grid_dataset(seed, n, dims, signal_cols=0):
+    rng = np.random.default_rng(seed)
+    coords = np.array(list(itertools.product(*(range(d) for d in dims))))
+    geometry = GridGeometry(dims=dims, mask=coords)
+    X = rng.normal(size=(n, geometry.p))
+    y = rng.permutation(np.repeat([1, -1], n // 2))
+    X[:, :signal_cols] += 0.8 * y[:, None]  # give the fits something to select
+    return Dataset(X=X, y=y, geometry=geometry)
+
+
+def _one_by_one(dataset, selector, tau, B, seed):
+    """The estimate as separate selector calls on datasets built in full,
+    outside any estimate."""
+    observed = threshold_scores(selector(dataset), tau).size
+    counts = []
+    for b in range(1, B + 1):
+        gen = derive_stream(seed, b).generator()
+        permuted = Dataset(X=dataset.X, y=dataset.y[gen.permutation(dataset.n)],
+                           geometry=dataset.geometry)
+        counts.append(threshold_scores(selector(permuted), tau).size)
+    return PermutationReport(tau=float(tau), B=B, estimate=float(np.mean(counts)),
+                             observed_count=int(observed),
+                             permuted_counts=tuple(int(c) for c in counts))
+
+
+def _rss_instances():
+    # K=10 in lockstep batches of 4 (4, 4 and 2) under the patched budget
+    ds = _grid_dataset(5, 20, (6, 6, 1), signal_cols=9)
+    parc = Parcellation(assignment=np.arange(36) // 9, q=4)
+    config = StabilityConfig(solver=SolverConfig(loss_weight=0.5), K=10, master_seed=9,
+                             block_shape=(2, 2, 1))
+    yield "three-batches", ds, parc, config, 0.1, 4 * 10 * 4
+    # criterion 7's grid, parcellation and configuration, trial 0
+    ds = _grid_dataset(10_000, 20, (6, 6, 1))
+    config = StabilityConfig(solver=SolverConfig(loss_weight=4.0), K=10, alpha=0.5, beta=0.9,
+                             block_shape=(2, 2, 1), master_seed=0)
+    yield "criterion-7", ds, parc, config, 0.9, None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("instance", ["three-batches", "criterion-7"])
+def test_permutation_estimate_over_rss_matches_calls_one_by_one(monkeypatch, instance, threads):
+    """Inside the estimate, later rss runs reuse the first run's design: the
+    report, every call's counts and every stack the solver receives match
+    the same calls made one by one outside an estimate."""
+    _, ds, parc, config, tau, budget = next(i for i in _rss_instances() if i[0] == instance)
+    if budget is not None:
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", budget)
+        assert solver.lockstep_batch_size(10, 4) == 4
+    received, real = [], stability.fit_l1_batch
+
+    def recording(stack, *args):
+        received.append(stack.copy())  # as handed over, before it is standardized
+        return real(stack, *args)
+
+    monkeypatch.setattr(stability, "fit_l1_batch", recording)
+    calls = []
+
+    def selector(d):
+        scores = stability.run_stability_selection(d, parc, config, threads=threads)
+        calls.append(scores.counts)
+        return scores
+
+    report = permutation_fp_estimate(ds, selector, tau=tau, B=3, seed=4)
+    shared_calls, shared_stacks = calls[:], received[:]
+    calls.clear()
+    received.clear()
+    assert report == _one_by_one(ds, selector, tau, 3, 4)
+    assert len(shared_calls) == len(calls) == 4
+    assert sum(c.sum() for c in calls) > 0
+    for got, want in zip(shared_calls, calls):
+        assert_array_equal(got, want)
+    assert len(shared_stacks) == len(received) == 4 * (3 if budget else 1)
+    # batches on two threads reach the solver in either order
+    assert sorted(s.tobytes() for s in shared_stacks) == sorted(s.tobytes() for s in received)
+
+
+def _count_design_work(monkeypatch):
+    counts = {"cover": 0, "draw": 0, "average": 0}
+    real_init, real_draw = stability.BlockCover.__init__, stability.BlockCover.draw
+    real_average = stability.average_supervoxels
+
+    def init(self, *args):
+        counts["cover"] += 1
+        real_init(self, *args)
+
+    def draw(self, *args):
+        counts["draw"] += 1
+        return real_draw(self, *args)
+
+    def average(*args, **kwargs):
+        counts["average"] += 1
+        return real_average(*args, **kwargs)
+
+    monkeypatch.setattr(stability.BlockCover, "__init__", init)
+    monkeypatch.setattr(stability.BlockCover, "draw", draw)
+    monkeypatch.setattr(stability, "average_supervoxels", average)
+    return counts
+
+
+def test_permutation_estimate_draws_and_averages_once(monkeypatch):
+    """B=3 gives four rss runs of K iterations, but one design: K block
+    draws and K averagings, not 4K, and one block cover. A second estimate
+    makes its design again; outside an estimate every run makes its own."""
+    _, ds, parc, config, tau, _ = next(_rss_instances())
+    counts = _count_design_work(monkeypatch)
+
+    def selector(d):
+        return stability.run_stability_selection(d, parc, config)
+
+    permutation_fp_estimate(ds, selector, tau=tau, B=3)
+    assert counts == {"cover": 1, "draw": config.K, "average": config.K}
+    permutation_fp_estimate(ds, selector, tau=tau, B=3)
+    assert counts == {"cover": 2, "draw": 2 * config.K, "average": 2 * config.K}
+    selector(ds)
+    selector(ds)
+    assert counts == {"cover": 4, "draw": 4 * config.K, "average": 4 * config.K}
+    assert stability._DESIGNS.get() is None
+
+
+def test_shared_designs_survive_thread_switches(monkeypatch):
+    """Ten batches on four pool threads, switching threads every
+    microsecond: a lost store of a batch's design would draw it again."""
+    _, ds, parc, config, tau, budget = next(_rss_instances())
+    config = dataclasses.replace(config, K=40)
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", budget)
+    counts = _count_design_work(monkeypatch)
+
+    def selector(d):
+        return stability.run_stability_selection(d, parc, config, threads=4)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = permutation_fp_estimate(ds, selector, tau=tau, B=3, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == {"cover": 1, "draw": config.K, "average": config.K}
+    assert report == _one_by_one(ds, selector, tau, 3, 5)
+
+
+def test_permutation_estimate_that_raises_keeps_no_design(monkeypatch):
+    """The scope ends with the estimate, also when a selector raises."""
+    _, ds, parc, config, tau, _ = next(_rss_instances())
+    seen = []
+
+    def selector(d):
+        seen.append(stability._DESIGNS.get())
+        if len(seen) == 2:
+            raise RuntimeError("selector failed")
+        return stability.run_stability_selection(d, parc, config)
+
+    with pytest.raises(RuntimeError, match="selector failed"):
+        permutation_fp_estimate(ds, selector, tau=tau, B=3)
+    assert seen[0] is seen[1] is not None and "batches" in seen[1]
+    assert stability._DESIGNS.get() is None
+    counts = _count_design_work(monkeypatch)
+    stability.run_stability_selection(ds, parc, config)
+    assert counts == {"cover": 1, "draw": config.K, "average": config.K}
+
+
+def test_selector_changing_its_config_gets_no_other_design():
+    """A selector whose master seed, beta, parcellation or dataset changes
+    from call to call gets each call's own counts."""
+    _, ds, parc, config, tau, _ = next(_rss_instances())
+    other_parc = Parcellation(assignment=np.arange(ds.p) % parc.q, q=parc.q)
+    other_ds = Dataset(X=ds.X[:, ::-1], y=ds.y, geometry=ds.geometry)
+    variants = [
+        (ds, parc, config),
+        (ds, parc, dataclasses.replace(config, master_seed=config.master_seed + 1)),
+        (ds, parc, dataclasses.replace(config, beta=0.3)),
+        (ds, parc, config),
+        (ds, other_parc, config),
+        (other_ds, parc, config),
+    ]
+    rounds = []
+
+    def selector(d):
+        calls = rounds[-1]
+        data, p, c = variants[len(calls) % len(variants)]
+        data = d if data is ds else Dataset(X=data.X, y=d.y, geometry=d.geometry)
+        scores = stability.run_stability_selection(data, p, c)
+        calls.append(scores.counts)
+        return scores
+
+    rounds.append([])
+    report = permutation_fp_estimate(ds, selector, tau=tau, B=11)
+    rounds.append([])
+    assert report == _one_by_one(ds, selector, tau, 11, 0)
+    shared, alone = rounds
+    assert len(shared) == len(alone) == 12
+    for got, want in zip(shared, alone):
+        assert_array_equal(got, want)
+    assert len({c.tobytes() for c in alone}) > 2
+
+
+def test_rand_l1_and_plain_selectors_are_unchanged_by_the_estimate():
+    """Selectors other than rss see only the permuted datasets, which now
+    skip the X check: their reports are those of the calls one by one."""
+    _, ds, _, _, _, _ = next(_rss_instances())
+    config = RandL1Config(solver=SolverConfig(loss_weight=0.5), K=20, master_seed=3)
+
+    def rand_l1(d):
+        return randomized_l1(d, config, threads=2)
+
+    for selector, tau in ((rand_l1, 0.3), (_threshold_selector, 0.5)):
+        report = permutation_fp_estimate(ds, selector, tau=tau, B=3, seed=1)
+        assert report == _one_by_one(ds, selector, tau, 3, 1)
+        assert report.observed_count > 0
+
+
+def test_permuted_datasets_keep_x_and_geometry_objects():
+    _, ds, _, _, _, _ = next(_rss_instances())
+    seen = []
+
+    def selector(d):
+        seen.append(d)
+        return _threshold_selector(d)
+
+    permutation_fp_estimate(ds, selector, tau=0.5, B=3)
+    assert all(d.X is ds.X and d.geometry is ds.geometry for d in seen)
+    assert [sorted(d.y) for d in seen] == [sorted(ds.y)] * 4
+    assert sum(not np.array_equal(d.y, ds.y) for d in seen[1:]) == 3
