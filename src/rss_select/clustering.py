@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Parcellation, RngStream
+from .data import Dataset, Parcellation, RngStream, read_csv_rows
 from .solver import standardize_columns
 
 
@@ -227,15 +227,8 @@ def save_parcellation(parcellation: Parcellation, path, sidecar: dict | None = N
 
 
 def load_parcellation(path) -> Parcellation:
-    path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[:2] != ["feature", "cluster"]:
-            raise ValueError(f"unexpected parcellation header {header!r}")
-        rows = [(int(r[0]), int(r[1])) for r in reader]
-    rows.sort()
-    if [r[0] for r in rows] != list(range(len(rows))):
+    rows = read_csv_rows(path, ("feature", "cluster"), (int, int))
+    features, assignment = np.array(sorted(rows), dtype=np.int64).T.copy()
+    if not np.array_equal(features, np.arange(features.size)):
         raise ValueError("parcellation must cover features 0..p-1 exactly once")
-    assignment = np.array([r[1] for r in rows], dtype=np.int64)
     return Parcellation(assignment=assignment, q=int(assignment.max()) + 1)

@@ -7,6 +7,7 @@ The dataset container is a directory holding ``manifest.json``, ``X.bin``
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -33,6 +34,30 @@ def sha256_file(path) -> str:
                 break
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_csv_rows(path, header, parsers) -> list[tuple]:
+    """The rows of a CSV file whose header starts with ``header``, each as a
+    tuple of its leading fields converted by ``parsers``. A missing header,
+    a short row, a field its parser rejects or no rows at all raise
+    ValueError naming the file and the line."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        head = next(reader, [])
+        if head[: len(header)] != list(header):
+            raise ValueError(f"{path}, line 1: unexpected header {head!r}, "
+                             f"expected {','.join(header)}")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) < len(parsers):
+                    raise ValueError(f"{len(row)} fields, expected {len(parsers)}")
+                rows.append(tuple(parse(v) for parse, v in zip(parsers, row)))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
+    if not rows:
+        raise ValueError(f"{path}, line 2: no rows after the header")
+    return rows
 
 
 @dataclass(frozen=True)

@@ -186,8 +186,9 @@ def permutation_fp_estimate(dataset: Dataset,
     for the estimate to be reproducible; permutation b uses stream b derived
     from the seed (stream 0 is reserved for fold drawing elsewhere). The
     permuted datasets keep ``dataset``'s X, checked once, and the calls run
-    in ``sharing_designs``: B+1 rss runs of one config draw and average
-    once (full scale, K=50: 4.9 MiB plus the 6.3 MiB cover, until the end).
+    in ``sharing_designs``: B+1 rss runs of one config draw, average and
+    standardize once and fit that design as it is, no run copying it (full
+    scale, K=50: 4.9 MiB plus the 3.3 MiB cover, until the end).
     """
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")

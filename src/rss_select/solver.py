@@ -21,16 +21,16 @@ written; the live problems are gathered into a new stack only once at most
 half of the current one is live, so the kernel holds at most half a stack
 more than its caller.
 
-``fit_l1_batch`` fits any number of row subsamples of one matrix, or a
-stack of matrices handed over; it is what ``fit_l1_logistic`` (one
-subsample) and both resampling selectors call. How many problems share a
-kernel call is decided by ``lockstep_batch_size`` alone: as many
-consecutive ones as keep one batch array within 4 MiB, at most 64. The
-selectors size their batches by it too, so each of their batches is one
-kernel call. Narrow problems are gathered into one stack and standardized
-in it one matrix at a time; a constant column becomes a zero column, which
-stays at weight 0. Wide problems take a working-set strategy: solve on
-small active sets, then screen the full gradients for violators until the
+``fit_l1_batch`` fits row subsamples of one matrix in one kernel call
+(``fit_l1_logistic`` is a batch of one); ``fit_l1_standardized`` fits a
+stack made by ``standardize_stack``, the form in which the stability
+selector keeps its designs. Every entry point only reads its inputs, and
+the caller decides how many problems share a call: the resampling loop
+sizes its batches by ``lockstep_batch_size``, as many fits as keep one
+batch array within 4 MiB, at most 64. A column constant in a narrow
+problem becomes a zero column, whose gradient is exactly 0, so its weight
+stays +0.0. Wide problems take a working-set strategy: solve on small
+active sets, then screen the full gradients for violators until the
 optimality conditions hold over all columns, holding only the weights of
 the active sets until the end. Wide fits standardize implicitly: column
 statistics of all the
@@ -453,7 +453,7 @@ class _ImplicitColumns:
         return out
 
 
-def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
+def _fit_l1_working_set(X, y, rows, cfg, scale):
     """GLMNET-style outer loop, in lockstep over the B row subsamples
     ``X[rows[b]]`` of a wide X with labels ``y`` (B, k): grow each active
     set from KKT screening.
@@ -475,7 +475,8 @@ def _fit_l1_working_set(X, y, rows, cfg, scale, c0):
     cols = _ImplicitColumns(X, rows, scale)
     # log(n_pos / n_neg) is the intercept's optimum at w = 0, so the first
     # screen already sees the gradients of the optimal empty model
-    c, iters = c0, np.zeros(B, dtype=np.int64)
+    c = np.array([_initial_intercept(v) for v in y])
+    iters = np.zeros(B, dtype=np.int64)
     active = [np.zeros(0, dtype=np.int64)] * B
     weights = [np.zeros(0)] * B  # on the active set; the rest are zero
     mw = np.zeros((B, k))
@@ -539,64 +540,59 @@ def lockstep_batch_size(k: int, m: int) -> int:
     """How many L1 fits of k rows and m columns share one kernel call: as
     many as keep one batch array within ``_BATCH_ENTRIES`` floats (k x m
     per narrow problem, m per wide one), at most ``_MAX_STACK``, at least
-    one. :func:`fit_l1_batch` splits by it, and the resampling selectors
-    size their batches by it, so a batch is one kernel call."""
+    one. The resampling loop sizes its batches by it and hands each batch to
+    the solver whole, so a batch is one kernel call."""
     per_problem = m if m >= _WORKING_SET_MIN_COLS else k * m
     return max(1, min(_MAX_STACK, _BATCH_ENTRIES // max(1, per_problem)))
 
 
+def standardize_stack(Z, scale=None):
+    """Standardize each matrix of the stack Z (B, k, m) in place, one at a
+    time, and return Z: matrix b becomes its :func:`standardize_columns`
+    output with its constant columns kept as zero columns, times
+    ``scale[b]`` if given."""
+    for b, z in enumerate(Z):
+        mean, std, keep = _column_stats(z)
+        z -= mean
+        np.divide(z, std, out=z, where=keep)
+        z[:, ~keep] = 0.0
+        if scale is not None:
+            z *= scale[b]
+    return Z
+
+
+def _solutions(w, c, objective, kkt, converged, iters):
+    return [SolverSolution(w=w[b], c=c[b], objective=objective[b], kkt_residual=kkt[b],
+                           converged=bool(converged[b]), n_iters=int(iters[b]))
+            for b in range(w.shape[0])]
+
+
+def fit_l1_standardized(Z, y, config: SolverConfig) -> list[SolverSolution]:
+    """L1 fits of the problems ``(Z[b], y[b])`` of a stack made by
+    :func:`standardize_stack`, y float64 (B, k), in one kernel call that
+    only reads Z."""
+    c0 = np.array([_initial_intercept(v) for v in y])
+    *fit, _ = _prox_solve(Z, y, config.loss_weight, np.zeros((Z.shape[0], Z.shape[2])), c0,
+                          config.max_iters, config.tol_kkt, config.support_epsilon)
+    return _solutions(*fit)
+
+
 def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSolution]:
-    """L1 fits of the row subsamples ``(X[rows[b]], y[rows[b]])``, in lockstep.
+    """L1 fits of the row subsamples ``(X[rows[b]], y[rows[b]])``, in one
+    lockstep kernel call that only reads X and y.
 
     ``X`` (n, m) and ``y`` (n,) are float64 inputs already checked by the
     :class:`Dataset` rules; ``rows`` (B, k) holds each subsample's sorted row
     indices and ``scale``, if given, each fit's m column multipliers (B
-    arrays, or one (B, m) array). With ``rows=None``, X is instead the stack
-    (B, k, m) of the problems' own matrices and y their labels (B, k); the
-    call then takes X over and may overwrite it, which spares a copy.
-    Consecutive fits share a kernel call, as many as
-    :func:`lockstep_batch_size` allows.
-    Fit b answers ``fit_l1_logistic(X[rows[b]], y[rows[b]], config,
-    scale[b])``: to the bit on the narrow path, and to the solver tolerance
-    on the wide one (see the module docstring).
+    arrays, or one (B, m) array). Fit b answers ``fit_l1_logistic(X[rows[b]],
+    y[rows[b]], config, scale[b])``: to the bit on the narrow path, and to
+    the solver tolerance on the wide one (see the module docstring).
     """
-    stack = None
-    if rows is None:
-        stack = X
-        B, k, m = X.shape
-        X, y, rows = X.reshape(B * k, m), y.reshape(-1), np.arange(B * k).reshape(B, k)
-    B, k = rows.shape
     m = X.shape[1]
-    wide = m >= _WORKING_SET_MIN_COLS
-    size = lockstep_batch_size(k, m)
-    scale = [np.ones(m)] * B if scale is None else scale
-    sols = []
-    for at in range(0, B, size):
-        part = rows[at : at + size]
-        part_y = y[part]
-        part_scale = scale[at : at + size]
-        c0 = np.array([_initial_intercept(v) for v in part_y])
-        if wide:
-            w, c, obj, kkt, conv, iters = _fit_l1_working_set(X, part_y, part, config,
-                                                              part_scale, c0)
-        else:
-            Z = X[part] if stack is None else stack[at : at + size]
-            keep = np.empty((part.shape[0], m), dtype=bool)
-            # one matrix at a time, so temporaries stay one matrix in size
-            for z, z_keep, z_scale in zip(Z, keep, part_scale):
-                mean, std, z_keep[:] = _column_stats(z)
-                z -= mean
-                np.divide(z, std, out=z, where=z_keep)
-                z[:, ~z_keep] = 0.0  # constant columns become zero columns
-                z *= z_scale
-            w, c, obj, kkt, conv, iters, _ = _prox_solve(
-                Z, part_y, config.loss_weight, np.zeros((part.shape[0], m)), c0,
-                config.max_iters, config.tol_kkt, config.support_epsilon)
-            w[~keep] = 0.0
-        sols += [SolverSolution(w=w[b], c=c[b], objective=obj[b], kkt_residual=kkt[b],
-                                converged=bool(conv[b]), n_iters=int(iters[b]))
-                 for b in range(part.shape[0])]
-    return sols
+    if m < _WORKING_SET_MIN_COLS:
+        return fit_l1_standardized(standardize_stack(X[rows], scale), y[rows], config)
+    scale = [np.ones(m)] * rows.shape[0] if scale is None else scale
+    return _solutions(*_fit_l1_working_set(X, y[rows], rows, config, scale))
 
 
 def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolution:

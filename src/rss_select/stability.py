@@ -12,12 +12,12 @@ baseline: iteration k always draws from the random stream derived from
 (master_seed, k), and the fits of each batch of consecutive iterations go
 to the solver in one lockstep kernel call, so results are independent of
 thread count and iteration order. Only the fits read labels, so rss runs of
-one key inside ``sharing_designs`` share one design (cover, draws, averages).
+one key inside ``sharing_designs`` share one design (cover, draws,
+standardized averages).
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -25,12 +25,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
-from .solver import SolverConfig, fit_l1_batch, lockstep_batch_size
+from .data import (Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream,
+                   read_csv_rows)
+from .solver import SolverConfig, fit_l1_standardized, lockstep_batch_size, standardize_stack
 from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name here
 
 # loss weight giving useful sparsity on cluster-averaged fits at the default
@@ -99,7 +99,8 @@ class BlockCover:
     grid or mask are simply absent. Every in-mask voxel is therefore covered
     by exactly bx*by*bz anchors, so one uniform anchor covers every voxel
     with the same chance, at the mask's edge too. Built once per geometry
-    and reused across draws.
+    and reused across draws; ``features`` and ``starts`` are int32 (3.3 MiB
+    at full scale).
 
     That holds for one block, not for a :meth:`draw`: blocks accumulate until
     every cluster quota is met, which favours some voxels over others. On a
@@ -120,7 +121,7 @@ class BlockCover:
         # voxel index per grid cell, -1 off the mask, padded by block-1 on
         # both sides of each axis: s - o + pad then stays inside every axis,
         # so flat offsets never wrap into a neighbouring row
-        grid = np.full(tuple(dims + 2 * pad), -1, dtype=np.int64)
+        grid = np.full(tuple(dims + 2 * pad), -1, dtype=np.int32)
         grid[tuple((geometry.mask.astype(np.int64) + pad).T)] = np.arange(geometry.p)
         offsets = np.array(list(itertools.product(*(range(b) for b in block))))
         inside = grid >= 0
@@ -134,7 +135,7 @@ class BlockCover:
         voxel_at = grid.reshape(-1)[base[:, None] + np.ravel_multi_index((pad - offsets).T, grid.shape)]
         present = voxel_at >= 0
         self.features = voxel_at[present]
-        self.starts = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+        self.starts = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
 
     @property
     def n_anchors(self) -> int:
@@ -300,13 +301,14 @@ def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int]
 
     Iterations go in batches of consecutive k, as many as
     ``lockstep_batch_size(*shape)`` gives for fits of ``shape`` (rows,
-    columns). ``draw(gens)`` makes a batch's design, iteration k drawing
-    from ``derive_stream(master_seed, k)``; ``fit(design)`` hands its
-    problems to the solver in one lockstep kernel call and returns
-    (selected feature indices, SolverSolution) for each. ``designs``, if
-    given, maps (start, stop) to designs made so far and takes those drawn
-    now; ``fit`` must then leave them as they are. Aborts when more than
-    _MAX_FAILURE_FRACTION of the fits do not converge.
+    columns): this loop alone decides how many fits share a kernel call.
+    ``draw(gens)`` makes a batch's design, iteration k drawing from
+    ``derive_stream(master_seed, k)``; ``fit(design)`` hands the whole batch
+    to the solver, whose entry points only read it, in one lockstep kernel
+    call and returns (selected feature indices, SolverSolution) for each.
+    ``designs``, if given, maps (start, stop) to designs made so far and
+    takes those drawn now. Aborts when more than _MAX_FAILURE_FRACTION of
+    the fits do not converge.
 
     ``threads > 1`` runs the batches on a thread pool, when there are two or
     more. Every iteration owns its stream and the batches do not depend on
@@ -355,8 +357,9 @@ def sharing_designs():
     """Share rss designs between runs in this scope and thread, one at a
     time: that of the latest run's key (X, parcellation and geometry, held
     so their ids stay theirs; alpha, beta, block shape, master seed, K). A
-    design is K averaged k x q matrices, K rows and flat picks, and the
-    cover (3.8, 1.1 and 6.3 MiB at full scale, K=50), freed with the scope."""
+    design is K averaged k x q matrices, standardized, K rows and flat
+    picks, and the cover (3.8, 1.1 and 3.3 MiB at full scale, K=50), freed
+    with the scope. Fits only read it, so no run copies it."""
     token = _DESIGNS.set({})
     try:
         yield
@@ -370,8 +373,10 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
 
     The thread count never changes the result (see ``resample``). Without
     grid geometry the spatial step degrades to plain stratified sampling (a
-    warning is emitted). Inside ``sharing_designs`` it reuses the design of
-    an earlier run of its key, fitting copies of the averaged stacks.
+    warning is emitted). A design is each batch's rows, picks and averaged
+    stack, standardized once when it is drawn; the solver only reads it, so
+    inside ``sharing_designs`` a run fits the design of an earlier run of
+    its key as it is.
     """
     if parcellation.p != dataset.p:
         raise ValueError("parcellation and dataset disagree on feature count")
@@ -396,13 +401,12 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         averaged = np.empty((len(draws), draws[0][0].size, parcellation.q))
         for a, (rows, picks) in zip(averaged, draws):
             a[:] = average_supervoxels(X, picks, quotas, rows=rows)
-        return np.stack([rows for rows, _ in draws]), [picks for _, picks in draws], averaged
+        return (np.stack([rows for rows, _ in draws]), [picks for _, picks in draws],
+                standardize_stack(averaged))
 
     def fit(design):
-        rows, picks, averaged = design
-        # the solver standardizes the stack in place: a shared one is copied
-        stack = averaged if slot is None else averaged.copy()
-        sols = fit_l1_batch(stack, y[rows], None, config.solver)
+        rows, picks, stack = design
+        sols = fit_l1_standardized(stack, y[rows], config.solver)
         return [(credited(p, sol), sol) for p, sol in zip(picks, sols)]
 
     def credited(picks, sol):
@@ -450,23 +454,10 @@ def save_scores_csv(path, score, counts=None, geometry: GridGeometry | None = No
 
 def load_scores_csv(path):
     """Read a scores CSV back into a dict of aligned arrays."""
-    feats, coords, counts, score = [], [], [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["feature", "x", "y", "z", "count", "score"]:
-            raise ValueError(f"unexpected scores header {header!r}")
-        for row in reader:
-            feats.append(int(row[0]))
-            coords.append((int(row[1]), int(row[2]), int(row[3])))
-            counts.append(int(row[4]))
-            score.append(float(row[5]))
-    feats = np.asarray(feats, dtype=np.int64)
-    if not np.array_equal(feats, np.arange(feats.size)):
+    rows = read_csv_rows(path, ("feature", "x", "y", "z", "count", "score"),
+                         (int, int, int, int, int, float))
+    ints = np.array([r[:5] for r in rows], dtype=np.int64)
+    if not np.array_equal(ints[:, 0], np.arange(len(rows))):
         raise ValueError("scores file must cover features 0..p-1 in order")
-    return {
-        "feature": feats,
-        "coords": np.asarray(coords, dtype=np.int64),
-        "count": np.asarray(counts, dtype=np.int64),
-        "score": np.asarray(score, dtype=np.float64),
-    }
+    return {"feature": ints[:, 0], "coords": ints[:, 1:4], "count": ints[:, 4],
+            "score": np.array([r[5] for r in rows])}

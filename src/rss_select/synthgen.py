@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, GridGeometry, derive_stream
+from .data import Dataset, GridGeometry, derive_stream, read_csv_rows
 
 _N_CLUSTERS = 5
 _MAX_REJECTION_ROUNDS = 10**6
@@ -208,15 +207,6 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[:2] != ["feature", "planted_cluster"]:
-            raise ValueError(f"unexpected ground truth header {header!r}")
-        rows = [(int(r[0]), int(r[1])) for r in reader]
-    rows.sort()
-    return GroundTruth(
-        features=np.array([r[0] for r in rows], dtype=np.int64),
-        cluster_ids=np.array([r[1] for r in rows], dtype=np.int64),
-    )
+    rows = read_csv_rows(path, ("feature", "planted_cluster"), (int, int))
+    features, cluster_ids = np.array(sorted(rows), dtype=np.int64).T.copy()
+    return GroundTruth(features=features, cluster_ids=cluster_ids)

@@ -223,6 +223,23 @@ def test_eval_cv_rejects_fold_count_outside_the_classes(workspace, tmp_path, cap
     assert "n_folds must lie in [2, 10] (2 to the smaller class count)" in capsys.readouterr().err
 
 
+def test_eval_on_a_truncated_scores_file_fails_without_a_traceback(workspace, tmp_path):
+    """A scores file cut off in the middle of a row is an error naming the
+    file and line, not a crash."""
+    text = workspace["rss_scores"].read_text()
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text[: text.index("\n", len(text) // 2) + 4])
+    src = Path(rss_select.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rss_select", "eval", "--scores", str(scores),
+                           "--truth", str(workspace["truth"]), "--out-dir", str(tmp_path / "pr")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and f"{scores}, line " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_perm_writes_false_positive_report(workspace, tmp_path):
     out = tmp_path / "perm"
     assert main([

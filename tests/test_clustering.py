@@ -338,6 +338,20 @@ def test_load_parcellation_rejects_bad_header(tmp_path):
         load_parcellation(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1: unexpected header"),
+    ("feature,cluster\n", "line 2: no rows"),
+    ("feature,cluster\n0,0\n1\n", "line 3: 1 fields, expected 2"),
+    ("feature,cluster\n0,0\n\n", "line 3: 0 fields"),
+    ("feature,cluster\n0,x\n", "line 2: invalid literal"),
+])
+def test_load_parcellation_names_the_file_and_line_of_a_bad_row(tmp_path, text, line):
+    path = tmp_path / "parcellation.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"parcellation.csv, {line}"):
+        load_parcellation(path)
+
+
 def test_load_parcellation_requires_full_feature_coverage(tmp_path):
     path = tmp_path / "parcellation.csv"
     path.write_text("feature,cluster\n0,0\n2,1\n")  # feature 1 missing

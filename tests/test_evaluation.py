@@ -298,18 +298,20 @@ def _rss_instances():
 def test_permutation_estimate_over_rss_matches_calls_one_by_one(monkeypatch, instance, threads):
     """Inside the estimate, later rss runs reuse the first run's design: the
     report, every call's counts and every stack the solver receives match
-    the same calls made one by one outside an estimate."""
+    the same calls made one by one outside an estimate. Each batch's fits
+    in every run receive the design's own stack object, which is unchanged
+    after the estimate."""
     _, ds, parc, config, tau, budget = next(i for i in _rss_instances() if i[0] == instance)
     if budget is not None:
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", budget)
         assert solver.lockstep_batch_size(10, 4) == 4
-    received, real = [], stability.fit_l1_batch
+    received, real = [], stability.fit_l1_standardized
 
     def recording(stack, *args):
-        received.append(stack.copy())  # as handed over, before it is standardized
+        received.append((stack, stack.tobytes()))
         return real(stack, *args)
 
-    monkeypatch.setattr(stability, "fit_l1_batch", recording)
+    monkeypatch.setattr(stability, "fit_l1_standardized", recording)
     calls = []
 
     def selector(d):
@@ -318,7 +320,7 @@ def test_permutation_estimate_over_rss_matches_calls_one_by_one(monkeypatch, ins
         return scores
 
     report = permutation_fp_estimate(ds, selector, tau=tau, B=3, seed=4)
-    shared_calls, shared_stacks = calls[:], received[:]
+    shared_calls, shared = calls[:], received[:]
     calls.clear()
     received.clear()
     assert report == _one_by_one(ds, selector, tau, 3, 4)
@@ -326,9 +328,14 @@ def test_permutation_estimate_over_rss_matches_calls_one_by_one(monkeypatch, ins
     assert sum(c.sum() for c in calls) > 0
     for got, want in zip(shared_calls, calls):
         assert_array_equal(got, want)
-    assert len(shared_stacks) == len(received) == 4 * (3 if budget else 1)
+    batches = 3 if budget else 1
+    assert len(shared) == len(received) == 4 * batches
+    designs = {id(stack): stack for stack, _ in shared}
+    assert len(designs) == batches
+    for stack, as_received in shared:
+        assert stack.tobytes() == as_received
     # batches on two threads reach the solver in either order
-    assert sorted(s.tobytes() for s in shared_stacks) == sorted(s.tobytes() for s in received)
+    assert sorted(b for _, b in shared) == sorted(b for _, b in received)
 
 
 def _count_design_work(monkeypatch):

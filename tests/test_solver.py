@@ -515,10 +515,11 @@ def test_wide_batch_matches_single_fits():
 
 @pytest.mark.parametrize("m", [40, 1100])
 def test_kernel_calls_split_by_memory_invisibly(monkeypatch, m):
-    """When one batch array holds only 3 problems, fit_l1_batch runs 7 as
-    kernel calls of 3, 3 and 1. Narrow fits are byte-equal to the one-call
-    fits; wide ones, which depend on their batch mates in the last digits,
-    keep their supports and their objectives to 1e-11."""
+    """7 fits made as kernel calls of 3, 3 and 1, as the resampling loop
+    splits them when one batch array holds only 3 problems. Narrow fits are
+    byte-equal to the one-call fits; wide ones, which depend on their batch
+    mates in the last digits, keep their supports and their objectives to
+    1e-11."""
     X, y, rows, scale = _wide_subsamples(3, 7, m=m)
     cfg = SolverConfig(loss_weight=0.8)
     whole = solver.fit_l1_batch(X, y, rows, cfg, scale)
@@ -531,8 +532,8 @@ def test_kernel_calls_split_by_memory_invisibly(monkeypatch, m):
         return real(first, y_stack, *args)
 
     monkeypatch.setattr(solver, site, recording)
-    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 3 * (m if wide else rows.shape[1] * m))
-    split = solver.fit_l1_batch(X, y, rows, cfg, scale)
+    split = [sol for part in (slice(0, 3), slice(3, 6), slice(6, None))
+             for sol in solver.fit_l1_batch(X, y, rows[part], cfg, scale[part])]
     assert sizes == [3, 3, 1]
     assert any(sol.support(cfg.support_epsilon).size for sol in whole)
     for one, part in zip(whole, split, strict=True):
@@ -567,8 +568,8 @@ def test_narrow_batch_holds_at_most_one_stack_beyond_its_copy():
     """A narrow call of 50 problems of 25 x 120 (the README tour's rss run)
     allocates its standardized copy of the stack and at most one more stack:
     the kernel works on views of the stack and gathers only half of it at
-    most. Handed a stack with ``rows=None``, it allocates at most one
-    stack."""
+    most. Handed a standardized stack, fit_l1_standardized allocates at most
+    one stack."""
     rng = np.random.default_rng(4)
     B, k, m = 50, 25, 120
     X = rng.normal(size=(B * k, m)) + 0.6 * rng.normal(size=(B * k, 1))
@@ -577,7 +578,9 @@ def test_narrow_batch_holds_at_most_one_stack_beyond_its_copy():
     cfg = SolverConfig(loss_weight=0.5)
     stack = X[rows]
     assert _traced_peak(lambda: solver.fit_l1_batch(X, y, rows, cfg)) <= 2 * stack.nbytes
-    assert _traced_peak(lambda: solver.fit_l1_batch(stack, y[rows], None, cfg)) <= stack.nbytes
+    standardized = solver.standardize_stack(stack)
+    assert _traced_peak(lambda: solver.fit_l1_standardized(standardized, y[rows], cfg)) \
+        <= stack.nbytes
 
 
 def test_wide_batch_peak_per_problem():
@@ -620,8 +623,8 @@ def _narrow_stacks(draw):
 def test_stacked_standardization_matches_each_matrix(instance):
     """The narrow stack fit_l1_batch hands the kernel is each subsample's
     standardize_columns output, scaled, with zero columns where a column is
-    constant on the drawn rows; so is the stack it makes of a stack of
-    matrices handed over with ``rows=None``, and the fits are the same."""
+    constant on the drawn rows; so is the stack standardize_stack makes of
+    the subsamples' matrices, and fit_l1_standardized fits it the same."""
     X, y, rows, scale = instance
     stacks, real = [], solver._prox_solve
 
@@ -632,7 +635,8 @@ def test_stacked_standardization_matches_each_matrix(instance):
     cfg = SolverConfig(loss_weight=1.0, max_iters=5)
     with mock.patch.object(solver, "_prox_solve", capture):
         by_rows = solver.fit_l1_batch(X, y, rows, cfg, scale)
-        by_stack = solver.fit_l1_batch(X[rows], y[rows], None, cfg, scale)
+        by_stack = solver.fit_l1_standardized(solver.standardize_stack(X[rows], scale),
+                                              y[rows], cfg)
     for Z in stacks:
         for b in range(rows.shape[0]):
             Zb, _, _, keep = standardize_columns(X[rows[b]])
@@ -642,3 +646,48 @@ def test_stacked_standardization_matches_each_matrix(instance):
     for one, other in zip(by_rows, by_stack, strict=True):
         assert one.w.tobytes() == other.w.tobytes()
         assert (one.c, one.objective, one.n_iters) == (other.c, other.objective, other.n_iters)
+
+
+def _stop_at_different_iterations():
+    """A narrow stack whose problems stop at different iterations, some of
+    them after the kernel has gathered the live ones: columns constant on
+    some subsamples, and loss weights that make some fits take long."""
+    rng = np.random.default_rng(21)
+    B, k, m = 12, 20, 9
+    X = rng.normal(size=(B * k, m)) + 0.5 * rng.normal(size=(B * k, 1))
+    y = np.where(X[:, 0] - X[:, 1] + rng.normal(size=B * k) > 0, 1.0, -1.0)
+    rows = np.arange(B * k).reshape(B, k)
+    X[rows[::3], 4] = 2.5  # constant on every third subsample
+    X[:, 7] = 0.0  # constant everywhere
+    return X[rows], y[rows]
+
+
+def test_standardized_fits_only_read_their_stack():
+    """fit_l1_standardized leaves its stack byte for byte as it was, also
+    when problems stop at different iterations and the kernel gathers the
+    live ones into a stack of its own."""
+    stack, y = _stop_at_different_iterations()
+    Z = solver.standardize_stack(stack)
+    before = Z.tobytes()
+    sols = solver.fit_l1_standardized(Z, y, SolverConfig(loss_weight=2.0))
+    assert Z.tobytes() == before
+    iters = {sol.n_iters for sol in sols}
+    assert len(iters) > 2 and all(sol.converged for sol in sols)
+    # more than half the problems stop before the last one: the kernel gathered
+    assert sum(sol.n_iters < max(iters) for sol in sols) * 2 >= len(sols)
+
+
+def test_zero_columns_keep_weight_positive_zero():
+    """A column constant in its matrix becomes a zero column and its weight
+    is +0.0 byte for byte, on the stacked path and through fit_l1_batch."""
+    stack, y = _stop_at_different_iterations()
+    cfg = SolverConfig(loss_weight=2.0)
+    Z = solver.standardize_stack(stack.copy())
+    assert not Z[::3, :, 4].any() and not Z[:, :, 7].any()
+    sols = solver.fit_l1_standardized(Z, y, cfg)
+    X, rows = stack.reshape(-1, stack.shape[2]), np.arange(y.size).reshape(y.shape)
+    for b, (sol, by_rows) in enumerate(zip(sols, solver.fit_l1_batch(X, y.reshape(-1), rows, cfg))):
+        zero = [4, 7] if b % 3 == 0 else [7]
+        assert sol.w[zero].tobytes() == np.zeros(len(zero)).tobytes()
+        assert by_rows.w.tobytes() == sol.w.tobytes()
+    assert any(sol.w[4] != 0.0 for sol in sols[1::3])

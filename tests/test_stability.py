@@ -250,6 +250,7 @@ def test_block_cover_replays_reference(instance):
     geometry, block, _, _ = instance
     cover = BlockCover(geometry, block)
     anchor_ids, starts, features = oracles.block_cover_reference(geometry, block)
+    assert cover.features.dtype == cover.starts.dtype == np.int32
     assert_array_equal(cover.anchor_ids, anchor_ids)
     assert cover.n_anchors == anchor_ids.size
     for a in range(cover.n_anchors):
@@ -639,4 +640,18 @@ def test_scores_csv_rejects_corrupted_files(tmp_path):
         load_scores_csv(path)
     path.write_text("feature,x,y,z,count,score\n1,-1,-1,-1,0,0.5\n")
     with pytest.raises(ValueError, match="0..p-1"):
+        load_scores_csv(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1: unexpected header"),
+    ("feature,x,y,z,count,score\n", "line 2: no rows"),
+    ("feature,x,y,z,count,score\n0,-1,-1,-1,0,0.5\n1,-1,-1\n", "line 3: 3 fields, expected 6"),
+    ("feature,x,y,z,count,score\n0,-1,-1,-1,0,0.5\n\n", "line 3: 0 fields"),
+    ("feature,x,y,z,count,score\n0,-1,-1,-1,0,half\n", "line 2: could not convert"),
+])
+def test_scores_csv_names_the_file_and_line_of_a_bad_row(tmp_path, text, line):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"scores.csv, {line}"):
         load_scores_csv(path)

@@ -220,6 +220,19 @@ def test_ground_truth_file_validation(tmp_path):
         load_ground_truth(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1: unexpected header"),
+    ("feature,planted_cluster\n", "line 2: no rows"),
+    ("feature,planted_cluster\n3,1\n4\n", "line 3: 1 fields, expected 2"),
+    ("feature,planted_cluster\n3,1\n\n", "line 3: 0 fields"),
+])
+def test_ground_truth_names_the_file_and_line_of_a_bad_row(tmp_path, text, line):
+    path = tmp_path / "ground_truth.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"ground_truth.csv, {line}"):
+        load_ground_truth(path)
+
+
 def test_ground_truth_type_constraints():
     with pytest.raises(ValueError, match="strictly increasing"):
         GroundTruth(features=np.array([3, 1]), cluster_ids=np.array([1, 2]))
