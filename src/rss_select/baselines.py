@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset, StabilityScores
 from .solver import SolverConfig, fit_l1_batch, fit_l1_logistic, fit_l2_logistic
-from .stability import draw_row_subsample, resample, round_nearest
+from .stability import draw_row_subsample, resample
 
 
 @dataclass(frozen=True)
@@ -86,5 +86,4 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
                             [scale for _, scale in draws])
         return [(sol.support(eps), sol) for sol in sols]
 
-    shape = (round_nearest(config.row_fraction * dataset.n), dataset.p)
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, shape, threads)
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, dataset.p, threads)

@@ -21,26 +21,25 @@ written; the live problems are gathered into a new stack only once at most
 half of the current one is live, so the kernel holds at most half a stack
 more than its caller.
 
-``fit_l1_batch`` fits row subsamples of one matrix in one kernel call
-(``fit_l1_logistic`` is a batch of one); ``fit_l1_standardized`` fits a
-stack made by ``standardize_stack``, the form in which the stability
-selector keeps its designs. Every entry point only reads its inputs, and
-the caller decides how many problems share a call: the resampling loop
-sizes its batches by ``lockstep_batch_size``, as many fits as keep one
-batch array within 4 MiB, at most 64. A column constant in a narrow
-problem becomes a zero column, whose gradient is exactly 0, so its weight
-stays +0.0. Wide problems take a working-set strategy: solve on small
-active sets, then screen the full gradients for violators until the
-optimality conditions hold over all columns, holding only the weights of
-the active sets until the end. Wide fits standardize implicitly: column
-statistics of all the
-subsamples of a kernel call come from one pass over X, the screens are
-one product of X with the residuals (zero on the rows a subsample did not
-draw), and only active columns are ever built. A wide fit can therefore
-differ in the last digits from the same fit made alone, or in another
-kernel call, as one-pass statistics round differently from two-pass ones
-and active sets of different sizes are padded with zero columns; the
-difference can move the iteration at which it meets its tolerance.
+``fit_l1_standardized`` fits a stack made by ``standardize_stack``, the
+form in which the stability selector keeps its designs; a column constant
+in its matrix is a zero column there, whose gradient is exactly 0, so its
+weight stays +0.0. ``fit_l1_batch`` fits row subsamples of one matrix X
+(``fit_l1_logistic`` is a batch of one) at any column count by a working
+set: solve on small active sets, then screen the full gradients for
+violators until the optimality conditions hold over all columns, holding
+only the weights of the active sets until the end. It standardizes
+implicitly: column statistics of all the subsamples of a call come from
+one pass over X, the screens are one product of X with the residuals (zero
+on the rows a subsample did not draw), and only active columns are ever
+built. A fit of X can therefore differ in the last digits from the same
+fit made alone, or in another kernel call, as one-pass statistics round
+differently from two-pass ones and active sets of different sizes are
+padded with zero columns; the difference can move the iteration at which
+it meets its tolerance. Every entry point makes one kernel call and only
+reads its inputs; the resampling loop decides how many problems share a
+call, by ``lockstep_batch_size``: as many fits as keep one batch array
+within 4 MiB, at most 64.
 
 The ridge fit is exact damped Newton in the row space of the standardized
 matrix: the minimizer lies in the span of its rows, so Newton runs on at
@@ -57,21 +56,18 @@ from scipy.special import expit
 
 from .data import Dataset, SolverSolution
 
-# above this column count L1 fits screen columns instead of running
-# proximal gradient on the full matrix
-_WORKING_SET_MIN_COLS = 1024
-# a wide column whose |mean| exceeds this many stds is screened from its
+# a column whose |mean| exceeds this many stds is screened from its
 # built standardized copy instead of implicitly (see _ImplicitColumns); a
 # column whose second moment exceeds its variance this many times has its
 # statistics recomputed in two passes (see _subsample_stats)
 _CANCEL_RATIO = 1e4
 # float64 entries (4 MiB) per lockstep batch array, one of the two bounds of
-# lockstep_batch_size: narrow problems stack their k x m matrices, wide ones
-# their m-long rows; column statistics read X in blocks of this size
+# lockstep_batch_size: a stack holds each fit's k x q matrix, a fit of X its
+# p-long rows; column statistics read X in blocks of this size
 _BATCH_ENTRIES = 1 << 19
 # the other bound, on the problem count. A call runs until its slowest
-# problem stops and holds a few m-long rows per wide problem, so without it
-# the 1200-voxel README tour put 436 wide fits in one call. On that tour
+# problem stops and holds a few p-long rows per fit of X, so without it
+# the 1200-voxel README tour put 436 rand-l1 fits in one call. On that tour
 # rand-l1 K=500 took 1.66, 1.20, 0.77 and 0.63 s in calls of at most 16,
 # 32, 64 and 128, at traced peaks of 1.2, 1.6, 2.8 and 5.3 MiB; 64 takes
 # most of the gain for about half the memory of 128
@@ -100,8 +96,8 @@ class SolverConfig:
     loss_weight : float
         Positive weight on the logistic loss relative to the L1 penalty.
     max_iters : int
-        Cap on accepted proximal iterations (summed over subproblems on the
-        working-set path).
+        Cap on accepted proximal iterations; a fit of row subsamples of X
+        sums them over its working-set rounds.
     tol_kkt : float
         Convergence threshold on the first-order optimality residual.
     support_epsilon : float
@@ -119,8 +115,8 @@ class SolverConfig:
             raise ValueError("loss_weight must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.tol_kkt <= 0 or self.support_epsilon < 0:
-            raise ValueError("tolerances must be non-negative (tol_kkt positive)")
+        if not (0 < self.tol_kkt < math.inf and 0 <= self.support_epsilon < math.inf):
+            raise ValueError("tol_kkt must be positive, support_epsilon non-negative, both finite")
 
 
 def _column_stats(X):
@@ -410,7 +406,7 @@ def _subsample_stats(X, rows):
 
 class _ImplicitColumns:
     """Standardized, scaled columns ``Z_b = ((X[rows[b]] - mean_b) / std_b) *
-    scale_b`` of B row subsamples of a wide X, built only where needed.
+    scale_b`` of B row subsamples of X, built only where needed.
 
     :meth:`columns` builds chosen columns of one Z_b with the same
     arithmetic as :func:`standardize_columns`. :meth:`gradient` returns
@@ -455,7 +451,7 @@ class _ImplicitColumns:
 
 def _fit_l1_working_set(X, y, rows, cfg, scale):
     """GLMNET-style outer loop, in lockstep over the B row subsamples
-    ``X[rows[b]]`` of a wide X with labels ``y`` (B, k): grow each active
+    ``X[rows[b]]`` of X with labels ``y`` (B, k): grow each active
     set from KKT screening.
 
     Columns are standardized implicitly (:class:`_ImplicitColumns`): the
@@ -536,28 +532,25 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
     return w, c, objective, kkt, kkt <= tol, iters
 
 
-def lockstep_batch_size(k: int, m: int) -> int:
-    """How many L1 fits of k rows and m columns share one kernel call: as
-    many as keep one batch array within ``_BATCH_ENTRIES`` floats (k x m
-    per narrow problem, m per wide one), at most ``_MAX_STACK``, at least
-    one. The resampling loop sizes its batches by it and hands each batch to
-    the solver whole, so a batch is one kernel call."""
-    per_problem = m if m >= _WORKING_SET_MIN_COLS else k * m
-    return max(1, min(_MAX_STACK, _BATCH_ENTRIES // max(1, per_problem)))
+def lockstep_batch_size(entries: int) -> int:
+    """How many L1 fits share one kernel call when each holds ``entries``
+    floats of a batch array (k x q for a stack of averaged matrices, p for a
+    fit of row subsamples of X): as many as keep that array within
+    ``_BATCH_ENTRIES`` floats, at most ``_MAX_STACK``, at least one. The
+    resampling loop sizes its batches by it and hands each batch to the
+    solver whole, so a batch is one kernel call."""
+    return max(1, min(_MAX_STACK, _BATCH_ENTRIES // max(1, entries)))
 
 
-def standardize_stack(Z, scale=None):
+def standardize_stack(Z):
     """Standardize each matrix of the stack Z (B, k, m) in place, one at a
-    time, and return Z: matrix b becomes its :func:`standardize_columns`
-    output with its constant columns kept as zero columns, times
-    ``scale[b]`` if given."""
-    for b, z in enumerate(Z):
+    time, and return Z: each matrix becomes its :func:`standardize_columns`
+    output with its constant columns kept as zero columns."""
+    for z in Z:
         mean, std, keep = _column_stats(z)
         z -= mean
         np.divide(z, std, out=z, where=keep)
         z[:, ~keep] = 0.0
-        if scale is not None:
-            z *= scale[b]
     return Z
 
 
@@ -584,14 +577,11 @@ def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSol
     ``X`` (n, m) and ``y`` (n,) are float64 inputs already checked by the
     :class:`Dataset` rules; ``rows`` (B, k) holds each subsample's sorted row
     indices and ``scale``, if given, each fit's m column multipliers (B
-    arrays, or one (B, m) array). Fit b answers ``fit_l1_logistic(X[rows[b]],
-    y[rows[b]], config, scale[b])``: to the bit on the narrow path, and to
-    the solver tolerance on the wide one (see the module docstring).
+    arrays, or one (B, m) array). Fit b agrees with ``fit_l1_logistic(
+    X[rows[b]], y[rows[b]], config, scale[b])`` to the solver tolerance, at
+    any column count (see the module docstring).
     """
-    m = X.shape[1]
-    if m < _WORKING_SET_MIN_COLS:
-        return fit_l1_standardized(standardize_stack(X[rows], scale), y[rows], config)
-    scale = [np.ones(m)] * rows.shape[0] if scale is None else scale
+    scale = [np.ones(X.shape[1])] * rows.shape[0] if scale is None else scale
     return _solutions(*_fit_l1_working_set(X, y[rows], rows, config, scale))
 
 
@@ -601,9 +591,8 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
     Parameters
     ----------
     X : ndarray of shape (n, m)
-        Sample matrix; standardized internally. Wide matrices (at least
-        1024 columns) are standardized implicitly: only the columns that
-        enter the working set are ever materialized.
+        Sample matrix; standardized implicitly: only the columns that enter
+        the working set are ever materialized.
     y : ndarray of shape (n,)
         Labels in {+1, -1}.
     config : SolverConfig
@@ -616,10 +605,10 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
     Returns
     -------
     SolverSolution
-        Weights in the standardized basis on both paths (constant columns
-        get exactly 0), intercept, objective value, optimality residual, and
-        a convergence flag; non-convergence returns the best iterate flagged,
-        it does not raise.
+        Weights in the standardized basis (constant columns get exactly 0),
+        intercept, objective value, optimality residual, and a convergence
+        flag; non-convergence returns the best iterate flagged, it does not
+        raise.
     """
     X, y = _validate_problem(X, y)
     m = X.shape[1]

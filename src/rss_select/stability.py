@@ -295,13 +295,13 @@ def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation:
                              _checked_quotas(parcellation, quotas))
 
 
-def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int],
+def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
              threads: int = 1, designs: dict | None = None) -> StabilityScores:
     """Run K resampled fits and count how often each feature is selected.
 
-    Iterations go in batches of consecutive k, as many as
-    ``lockstep_batch_size(*shape)`` gives for fits of ``shape`` (rows,
-    columns): this loop alone decides how many fits share a kernel call.
+    Iterations go in batches of ``lockstep_batch_size(entries)`` consecutive
+    k, for fits of ``entries`` floats each (k x q for rss, p for rand-l1):
+    this loop alone decides how many fits share a kernel call.
     ``draw(gens)`` makes a batch's design, iteration k drawing from
     ``derive_stream(master_seed, k)``; ``fit(design)`` hands the whole batch
     to the solver, whose entry points only read it, in one lockstep kernel
@@ -318,7 +318,7 @@ def resample(p: int, K: int, master_seed: int, draw, fit, shape: tuple[int, int]
     """
     if threads < 1:
         raise ValueError("threads must be positive")
-    size = lockstep_batch_size(*shape)
+    size = lockstep_batch_size(entries)
 
     def one(start):
         batch = (start, min(start + size, K))
@@ -415,8 +415,8 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         chosen[sol.support(eps)] = True
         return picks[np.repeat(chosen, quotas)]
 
-    shape = (round_nearest(config.alpha * dataset.n), parcellation.q)
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, shape, threads,
+    entries = round_nearest(config.alpha * dataset.n) * parcellation.q
+    return resample(dataset.p, config.K, config.master_seed, draw, fit, entries, threads,
                     None if slot is None else memo["batches"])
 
 

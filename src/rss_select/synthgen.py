@@ -15,11 +15,16 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .data import Dataset, GridGeometry, derive_stream, read_csv_rows
 
 _N_CLUSTERS = 5
 _MAX_REJECTION_ROUNDS = 10**6
+# |constraint_threshold| / noise_sd at which the stricter side of the triple
+# constraint accepts 1e-4 of draws (a triple sums to N(0, 3 noise_sd^2)): the
+# reference instance then needs about 1e5 rounds (17-31 s on 2 vCPUs)
+_MAX_THRESHOLD_SDS = -ndtri(1e-4) * 3**0.5
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,9 @@ class SynthConfig:
             raise ValueError(f"mask_size must lie in [1, {volume}]")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
+        limit = _MAX_THRESHOLD_SDS * self.noise_sd
+        if not abs(self.constraint_threshold) <= limit:
+            raise ValueError(f"constraint_threshold must lie in [-{limit:.4g}, {limit:.4g}]")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "cluster_sizes", sizes)
 

@@ -10,11 +10,11 @@ def record_batches(monkeypatch):
     def install(module):
         sizes, real = [], module.resample
 
-        def recording(p, K, master_seed, draw, fit, shape, threads=1, designs=None):
+        def recording(p, K, master_seed, draw, fit, entries, threads=1, designs=None):
             def draw_recorded(gens):
                 sizes.append(len(gens))
                 return draw(gens)
-            return real(p, K, master_seed, draw_recorded, fit, shape, threads, designs)
+            return real(p, K, master_seed, draw_recorded, fit, entries, threads, designs)
 
         monkeypatch.setattr(module, "resample", recording)
         return sizes

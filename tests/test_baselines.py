@@ -214,16 +214,15 @@ def test_randomized_l1_thread_count_is_invisible():
 @pytest.mark.parametrize("p", [10, 1100])
 def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, record_batches, p):
     """With lockstep batches of 4 and K=10 (batches of 4, 4 and 2), every
-    thread count gives the counts of one fit_l1_logistic per iteration, on
-    the narrow path and on the wide one."""
+    thread count gives the counts of one fit_l1_logistic per iteration, at
+    a few columns and at more than a thousand."""
     rng = np.random.default_rng(16)
     y = np.array([1] * 15 + [-1] * 15)
     X = rng.normal(size=(30, p)) + 3.0 * rng.normal(size=p)
     X[:, :3] += np.outer(y, [1.0, -0.8, 0.6])
     ds = _dataset(X, y)
     config = RandL1Config(solver=SolverConfig(loss_weight=0.8), K=10, master_seed=2)
-    per_problem = p if p >= 1024 else 15 * p
-    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * per_problem)
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * p)  # 4 fits of p-long rows
     sizes = record_batches(baselines)
     want = _rl1_manual_counts(ds, config)
     assert want[:3].sum() > 0
@@ -235,14 +234,14 @@ def test_randomized_l1_counts_ignore_threads_and_batches(monkeypatch, record_bat
 
 @pytest.mark.parametrize("p", [10, 1100])
 def test_randomized_l1_batches_take_the_solver_rule(record_batches, p):
-    """rand-l1 hands the solver batches of lockstep_batch_size(k, p)
-    consecutive iterations, the last one shorter, narrow and wide."""
+    """rand-l1 hands the solver batches of lockstep_batch_size(p)
+    consecutive iterations, the last one shorter, at any column count."""
     rng = np.random.default_rng(17)
     ds = _dataset(rng.normal(size=(30, p)))
     config = RandL1Config(solver=SolverConfig(loss_weight=0.5), K=70, master_seed=5)
     sizes = record_batches(baselines)
     randomized_l1(ds, config)
-    assert solver.lockstep_batch_size(15, p) == 64
+    assert solver.lockstep_batch_size(p) == 64
     assert sizes == [64, 6]
 
 

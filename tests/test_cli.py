@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,19 @@ def test_synth_writes_container_and_repeats_bit_for_bit(tmp_path):
         import pathlib
 
         assert hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() == checksum
+
+
+@pytest.mark.parametrize("threshold", ["nan", "100"])
+def test_synth_rejects_an_impossible_constraint_threshold(tmp_path, capsys, threshold):
+    """A threshold that is not a number, or that too few triples can meet,
+    fails at once with the range that works, before anything is drawn."""
+    started = time.monotonic()
+    code = main(["synth", "--out-dir", str(tmp_path / "out"), *SYNTH_FLAGS,
+                 "--constraint-threshold", threshold])
+    assert code == 1 and time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[-6.442, 6.442]" in err
+    assert not (tmp_path / "out" / "dataset").exists()
 
 
 def test_cluster_rerun_is_deterministic_and_warns_on_odd_q(workspace, tmp_path, capsys):

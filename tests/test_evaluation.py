@@ -304,7 +304,7 @@ def test_permutation_estimate_over_rss_matches_calls_one_by_one(monkeypatch, ins
     _, ds, parc, config, tau, budget = next(i for i in _rss_instances() if i[0] == instance)
     if budget is not None:
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", budget)
-        assert solver.lockstep_batch_size(10, 4) == 4
+        assert solver.lockstep_batch_size(10 * 4) == 4
     received, real = [], stability.fit_l1_standardized
 
     def recording(stack, *args):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,8 +38,8 @@ def _random_instance(rng):
 
 
 def _pad_with_noise(X, pad, seed):
-    """Append ``pad`` Gaussian noise columns; past 1024 columns in all, the
-    L1 fit takes the working-set path."""
+    """Append ``pad`` Gaussian noise columns, so that a test made on a few
+    columns runs again on more than a thousand."""
     noise = np.random.default_rng(seed).normal(size=(X.shape[0], pad))
     return np.hstack([X, noise])
 
@@ -212,6 +211,13 @@ def test_solver_input_validation():
         SolverConfig(loss_weight=1.0, max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(loss_weight=1.0, tol_kkt=-1.0)
+    for tol_kkt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_kkt must be positive"):
+            SolverConfig(loss_weight=1.0, tol_kkt=tol_kkt)
+    for eps in (-1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="support_epsilon non-negative, both finite"):
+            SolverConfig(loss_weight=1.0, support_epsilon=eps)
+    assert SolverConfig(loss_weight=1.0, support_epsilon=0.0).support_epsilon == 0.0
 
 
 # ----------------------------------------------------------------- L2 fits
@@ -284,8 +290,8 @@ def test_standardization_uses_population_variance():
 
 
 def test_working_set_path_agrees_with_direct_path():
-    """Wide problems route through gradient screening; the answer must be the
-    same as padding the same columns into a small direct solve."""
+    """Fits of X route through gradient screening; the answer must be the
+    same as the direct kernel's on a stack of the support columns alone."""
     rng = np.random.default_rng(11)
     n, m_signal = 30, 3
     X_signal = rng.normal(size=(n, m_signal))
@@ -293,13 +299,14 @@ def test_working_set_path_agrees_with_direct_path():
     X_noise = rng.normal(size=(n, 1400))
     X = np.hstack([X_signal, X_noise])
     cfg = SolverConfig(loss_weight=0.8, tol_kkt=1e-9)
-    wide = fit_l1_logistic(X, y, cfg)  # 1403 columns: screening path
-    assert wide.kkt_residual <= cfg.tol_kkt
-    support = np.flatnonzero(np.abs(wide.w) > cfg.support_epsilon)
+    screened = fit_l1_logistic(X, y, cfg)
+    assert screened.kkt_residual <= cfg.tol_kkt
+    support = np.flatnonzero(np.abs(screened.w) > cfg.support_epsilon)
     assert support.size > 0
-    narrow = fit_l1_logistic(X[:, support], y, cfg)  # direct path
-    np.testing.assert_allclose(wide.w[support], narrow.w, atol=1e-5)
-    assert wide.c == pytest.approx(narrow.c, abs=1e-5)
+    direct, = solver.fit_l1_standardized(solver.standardize_stack(X[:, support][None]),
+                                         y[None].astype(np.float64), cfg)
+    np.testing.assert_allclose(screened.w[support], direct.w, atol=1e-5)
+    assert screened.c == pytest.approx(direct.c, abs=1e-5)
 
 
 def test_implicit_gradient_matches_explicit_columns():
@@ -516,36 +523,29 @@ def test_wide_batch_matches_single_fits():
 @pytest.mark.parametrize("m", [40, 1100])
 def test_kernel_calls_split_by_memory_invisibly(monkeypatch, m):
     """7 fits made as kernel calls of 3, 3 and 1, as the resampling loop
-    splits them when one batch array holds only 3 problems. Narrow fits are
-    byte-equal to the one-call fits; wide ones, which depend on their batch
-    mates in the last digits, keep their supports and their objectives to
-    1e-11."""
+    splits them when one batch array holds only 3 problems. The fits, which
+    depend on their batch mates in the last digits, keep their supports and
+    their objectives to 1e-11, at a few columns and at more than a
+    thousand."""
     X, y, rows, scale = _wide_subsamples(3, 7, m=m)
     cfg = SolverConfig(loss_weight=0.8)
     whole = solver.fit_l1_batch(X, y, rows, cfg, scale)
-    wide = m >= solver._WORKING_SET_MIN_COLS
-    site = "_fit_l1_working_set" if wide else "_prox_solve"
-    sizes, real = [], getattr(solver, site)
+    sizes, real = [], solver._fit_l1_working_set
 
     def recording(first, y_stack, *args):
         sizes.append(y_stack.shape[0])
         return real(first, y_stack, *args)
 
-    monkeypatch.setattr(solver, site, recording)
+    monkeypatch.setattr(solver, "_fit_l1_working_set", recording)
     split = [sol for part in (slice(0, 3), slice(3, 6), slice(6, None))
              for sol in solver.fit_l1_batch(X, y, rows[part], cfg, scale[part])]
     assert sizes == [3, 3, 1]
     assert any(sol.support(cfg.support_epsilon).size for sol in whole)
     for one, part in zip(whole, split, strict=True):
         assert one.converged and part.converged
-        if wide:
-            np.testing.assert_array_equal(part.support(cfg.support_epsilon),
-                                          one.support(cfg.support_epsilon))
-            assert part.objective == pytest.approx(one.objective, rel=1e-11)
-        else:
-            assert part.w.tobytes() == one.w.tobytes()
-            assert ((part.c, part.objective, part.kkt_residual, part.n_iters)
-                    == (one.c, one.objective, one.kkt_residual, one.n_iters))
+        np.testing.assert_array_equal(part.support(cfg.support_epsilon),
+                                      one.support(cfg.support_epsilon))
+        assert part.objective == pytest.approx(one.objective, rel=1e-11)
 
 
 def _traced_peak(fit):
@@ -564,12 +564,11 @@ def _traced_peak(fit):
             tracemalloc.stop()
 
 
-def test_narrow_batch_holds_at_most_one_stack_beyond_its_copy():
-    """A narrow call of 50 problems of 25 x 120 (the README tour's rss run)
-    allocates its standardized copy of the stack and at most one more stack:
-    the kernel works on views of the stack and gathers only half of it at
-    most. Handed a standardized stack, fit_l1_standardized allocates at most
-    one stack."""
+def test_stacked_fit_holds_at_most_one_more_stack():
+    """A stack of 50 problems of 25 x 120 (the README tour's rss run):
+    standardize_stack works in place, holding a few matrices at most, and
+    fit_l1_standardized allocates at most one stack, as the kernel works on
+    views of the stack and gathers only half of it at most."""
     rng = np.random.default_rng(4)
     B, k, m = 50, 25, 120
     X = rng.normal(size=(B * k, m)) + 0.6 * rng.normal(size=(B * k, 1))
@@ -577,9 +576,8 @@ def test_narrow_batch_holds_at_most_one_stack_beyond_its_copy():
     rows = np.arange(B * k).reshape(B, k)
     cfg = SolverConfig(loss_weight=0.5)
     stack = X[rows]
-    assert _traced_peak(lambda: solver.fit_l1_batch(X, y, rows, cfg)) <= 2 * stack.nbytes
-    standardized = solver.standardize_stack(stack)
-    assert _traced_peak(lambda: solver.fit_l1_standardized(standardized, y[rows], cfg)) \
+    assert _traced_peak(lambda: solver.standardize_stack(stack)) <= 3 * stack[0].nbytes
+    assert _traced_peak(lambda: solver.fit_l1_standardized(stack, y[rows], cfg)) \
         <= stack.nbytes
 
 
@@ -600,7 +598,7 @@ def test_wide_batch_peak_per_problem():
 
 
 @st.composite
-def _narrow_stacks(draw):
+def _subsample_stacks(draw):
     """Row subsamples of a matrix with offset columns, columns of 4.2 and of
     0, columns with |mean| / std about 1e8, and columns constant (4.2) on
     the first subsample's rows only."""
@@ -614,38 +612,22 @@ def _narrow_stacks(draw):
     X[:, kind == 3] = 1e5 + 1e-3 * rng.normal(size=(n, int((kind == 3).sum())))
     rows = np.sort(np.stack([rng.choice(n, size=k, replace=False) for _ in range(B)]), axis=1)
     X[np.ix_(rows[0], np.flatnonzero(kind == 4))] = 4.2
-    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return X, y, rows, rng.uniform(0.5, 1.0, size=(B, m))
+    return X, rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_narrow_stacks())
+@given(_subsample_stacks())
 def test_stacked_standardization_matches_each_matrix(instance):
-    """The narrow stack fit_l1_batch hands the kernel is each subsample's
-    standardize_columns output, scaled, with zero columns where a column is
-    constant on the drawn rows; so is the stack standardize_stack makes of
-    the subsamples' matrices, and fit_l1_standardized fits it the same."""
-    X, y, rows, scale = instance
-    stacks, real = [], solver._prox_solve
-
-    def capture(Z, *args):
-        stacks.append(Z.copy())
-        return real(Z, *args)
-
-    cfg = SolverConfig(loss_weight=1.0, max_iters=5)
-    with mock.patch.object(solver, "_prox_solve", capture):
-        by_rows = solver.fit_l1_batch(X, y, rows, cfg, scale)
-        by_stack = solver.fit_l1_standardized(solver.standardize_stack(X[rows], scale),
-                                              y[rows], cfg)
-    for Z in stacks:
-        for b in range(rows.shape[0]):
-            Zb, _, _, keep = standardize_columns(X[rows[b]])
-            want = np.zeros((rows.shape[1], X.shape[1]))
-            want[:, keep] = Zb * scale[b][keep]
-            assert Z[b].tobytes() == want.tobytes()
-    for one, other in zip(by_rows, by_stack, strict=True):
-        assert one.w.tobytes() == other.w.tobytes()
-        assert (one.c, one.objective, one.n_iters) == (other.c, other.objective, other.n_iters)
+    """The stack standardize_stack makes of row subsamples' matrices holds
+    each subsample's standardize_columns output, with zero columns where a
+    column is constant on the drawn rows."""
+    X, rows = instance
+    Z = solver.standardize_stack(X[rows])
+    for b in range(rows.shape[0]):
+        Zb, _, _, keep = standardize_columns(X[rows[b]])
+        want = np.zeros((rows.shape[1], X.shape[1]))
+        want[:, keep] = Zb
+        assert Z[b].tobytes() == want.tobytes()
 
 
 def _stop_at_different_iterations():
@@ -678,16 +660,17 @@ def test_standardized_fits_only_read_their_stack():
 
 
 def test_zero_columns_keep_weight_positive_zero():
-    """A column constant in its matrix becomes a zero column and its weight
-    is +0.0 byte for byte, on the stacked path and through fit_l1_batch."""
+    """A column constant in its matrix gets weight +0.0 byte for byte, on
+    the stacked path, where it is a zero column, and through fit_l1_batch,
+    where it never enters a working set."""
     stack, y = _stop_at_different_iterations()
     cfg = SolverConfig(loss_weight=2.0)
     Z = solver.standardize_stack(stack.copy())
     assert not Z[::3, :, 4].any() and not Z[:, :, 7].any()
-    sols = solver.fit_l1_standardized(Z, y, cfg)
     X, rows = stack.reshape(-1, stack.shape[2]), np.arange(y.size).reshape(y.shape)
-    for b, (sol, by_rows) in enumerate(zip(sols, solver.fit_l1_batch(X, y.reshape(-1), rows, cfg))):
-        zero = [4, 7] if b % 3 == 0 else [7]
-        assert sol.w[zero].tobytes() == np.zeros(len(zero)).tobytes()
-        assert by_rows.w.tobytes() == sol.w.tobytes()
-    assert any(sol.w[4] != 0.0 for sol in sols[1::3])
+    for sols in (solver.fit_l1_standardized(Z, y, cfg),
+                 solver.fit_l1_batch(X, y.reshape(-1), rows, cfg)):
+        for b, sol in enumerate(sols):
+            zero = [4, 7] if b % 3 == 0 else [7]
+            assert sol.w[zero].tobytes() == np.zeros(len(zero)).tobytes()
+        assert any(sol.w[4] != 0.0 for sol in sols[1::3])

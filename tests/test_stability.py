@@ -33,6 +33,7 @@ from rss_select.stability import (
     save_scores_csv,
     threshold_scores,
 )
+from rss_select.synthgen import SynthConfig, generate_synthetic
 
 DEFAULT_SOLVER = SolverConfig(loss_weight=0.5)
 
@@ -482,7 +483,7 @@ def test_rss_run_that_fits_one_call_is_one_kernel_call(monkeypatch):
     ds = _noise_dataset(seed=6, n=20, dims=(6, 6, 1))
     parc = _slab_parcellation(ds.p, 4)
     config = StabilityConfig(solver=DEFAULT_SOLVER, K=50, master_seed=3, block_shape=(2, 2, 1))
-    assert solver.lockstep_batch_size(10, 4) >= config.K
+    assert solver.lockstep_batch_size(10 * 4) >= config.K
     calls, real = [], solver._prox_solve
 
     def counting(Z, *args):
@@ -499,6 +500,29 @@ def test_rss_run_that_fits_one_call_is_one_kernel_call(monkeypatch):
     pooled = run_stability_selection(ds, parc, config, threads=2)
     assert calls == [50, 50]
     assert_array_equal(serial.counts, pooled.counts)
+
+
+def test_rss_stacks_stay_within_the_batch_budget_at_any_q(monkeypatch):
+    """With q above a thousand clusters (allowed, with a warning, by the
+    CLI), an rss run on the README tour's data still hands the solver
+    stacks of at most 4 MiB: its batches are sized by the k x q matrices it
+    fits, not by q alone (K=64 goes as 19, 19, 19 and 7 fits of 25 x
+    1100)."""
+    ds, _ = generate_synthetic(SynthConfig(dims=(16, 16, 8), mask_size=1200,
+                                           cluster_sizes=(15, 15, 20, 20, 20),
+                                           n_per_group=25, seed=0))
+    parc = _slab_parcellation(ds.p, 1100)
+    config = StabilityConfig(solver=DEFAULT_SOLVER, K=64, master_seed=0)
+    stacks, real = [], stability.fit_l1_standardized
+
+    def recording(stack, *args):
+        stacks.append(stack.shape)
+        assert stack.nbytes <= solver._BATCH_ENTRIES * 8
+        return real(stack, *args)
+
+    monkeypatch.setattr(stability, "fit_l1_standardized", recording)
+    run_stability_selection(ds, parc, config)
+    assert stacks == [(19, 25, 1100)] * 3 + [(7, 25, 1100)]
 
 
 def test_draw_iteration_replays_deterministically():

@@ -1,5 +1,7 @@
 """Generator tests: mask construction, cluster placement, planted signal."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -184,6 +186,14 @@ def test_config_validation():
         SynthConfig(noise_sd=0.0)
     with pytest.raises(ValueError, match="n_per_group"):
         SynthConfig(n_per_group=0)
+    for threshold in (math.nan, math.inf, 6.45, -6.45, 100.0):
+        with pytest.raises(ValueError, match=r"constraint_threshold must lie in \[-6.442, 6.442\]"):
+            SynthConfig(constraint_threshold=threshold)
+    # the range scales with the noise: a triple sums to N(0, 3 noise_sd^2)
+    assert SynthConfig(constraint_threshold=-6.44).constraint_threshold == -6.44
+    assert SynthConfig(noise_sd=2.0, constraint_threshold=12.8).constraint_threshold == 12.8
+    with pytest.raises(ValueError, match=r"\[-12.88, 12.88\]"):
+        SynthConfig(noise_sd=2.0, constraint_threshold=12.9)
 
 
 def test_placement_outside_mask_is_rejected():
@@ -195,10 +205,10 @@ def test_placement_outside_mask_is_rejected():
 
 
 def test_rejection_sampling_guard_trips(monkeypatch):
-    # attempt limit lowered so the unreachable threshold fails fast
+    # attempt limit lowered so a threshold that accepts 2.7e-4 of draws fails fast
     monkeypatch.setattr(synthgen, "_MAX_REJECTION_ROUNDS", 50)
     config = SynthConfig(dims=(10, 10, 5), mask_size=300, n_per_group=4,
-                         cluster_sizes=(2, 2, 3, 3, 3), constraint_threshold=50.0)
+                         cluster_sizes=(2, 2, 3, 3, 3), constraint_threshold=6.0)
     with pytest.raises(RuntimeError, match="rejection"):
         generate_synthetic(config)
 
