@@ -11,15 +11,21 @@ gradient descent with backtracking line search and a monotone restart rule,
 in lockstep over a stack of B problems of equal shape (B, n, a). The
 intercept is one more coordinate of the proximal step, an unpenalized one
 whose prox is the identity (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
-Each problem keeps its own step size, backtracking, momentum and stop
-state, and leaves the stack when it stops. A single fit is a stack of one.
-The stacked products are ``np.matmul`` over views of runs of consecutive
-live problems, and the sums are row sums; both equal the products and sums
-of each problem on its own bit for bit, so a problem's result does not
-depend on the problems that share its stack. The caller's stack is never
-written; the live problems are gathered into a new stack only once at most
-half of the current one is live, so the kernel holds at most half a stack
-more than its caller.
+Once a problem's signs stop changing and its zero weights meet the
+optimality conditions, it tries Newton steps on the smooth objective of its
+support and intercept instead, as proximal Newton methods do (Lee, Sun &
+Saunders, SIAM J. Optim. 2014; Yuan, Ho & Lin, JMLR 2012): supports hold at
+most n columns, so a step is one small dense solve, and it ends most fits
+in two or three steps. Each problem keeps its own step size, backtracking,
+momentum, Newton back-off and stop state, and leaves the stack when it
+stops. A single fit is a stack of one. The stacked products are
+``np.matmul`` over views of runs of consecutive live problems, the Newton
+systems are solved in stacked calls of equal size, and the sums are row
+sums; all equal the products, solves and sums of each problem on its own
+bit for bit, so a problem's result does not depend on the problems that
+share its stack. The caller's stack is never written; the live problems
+are gathered into a new stack only once at most half of the current one
+is live, so the kernel holds at most half a stack more than its caller.
 
 ``fit_l1_standardized`` fits a stack made by ``standardize_stack``, the
 form in which the stability selector keeps its designs; a column constant
@@ -74,17 +80,23 @@ _BATCH_ENTRIES = 1 << 19
 _MAX_STACK = 64
 _MAX_OUTER = 100
 _MIN_STEP = 1e-18
-# near the optimum the accepted objective can sit still for many iterations
-# while the KKT residual still falls under tol_kkt: with a limit of 10, 48 of
-# 600 random small fits (n 8-40, 2-40 columns, loss weight 0.5-8) stopped
-# short of tol_kkt 1e-6, with 30 none did
-_STALL_LIMIT = 30
-_TOL_OBJECTIVE = 1e-14  # relative objective change that counts as a stall
+# a Newton step whose full length raises the objective is halved at most
+# this many times before the attempt fails
+_NEWTON_HALVINGS = 4
+# each Newton system gets this fraction of its largest diagonal entry added
+# to its diagonal (Levenberg-Marquardt). Duplicate support columns make the
+# Hessian singular along a direction where the objective is flat; unshifted,
+# rounding sent the step along it, and on a test instance with two equal
+# columns their weights went from equal to 0.39164 and 0.39073
+_NEWTON_SHIFT = 1e-8
+# Newton systems are padded to a multiple of this width, so that the systems
+# of a stack share a few widths and are solved in a few stacked calls
+_NEWTON_WIDTH = 8
 _L2_MAX_ITERS = 100
 _L2_TOL_KKT = 1e-6
 # the rule that ended a problem in _prox_solve, by its stop code
-_STOP_RULES = ("kkt", "stall", "no progress", "max iters")
-_KKT, _STALL, _NO_PROGRESS, _MAX_ITERS = range(len(_STOP_RULES))
+_STOP_RULES = ("kkt", "no progress", "max iters", "one class")
+_KKT, _NO_PROGRESS, _MAX_ITERS, _ONE_CLASS = range(len(_STOP_RULES))
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,8 @@ class SolverConfig:
     loss_weight : float
         Positive weight on the logistic loss relative to the L1 penalty.
     max_iters : int
-        Cap on accepted proximal iterations; a fit of row subsamples of X
-        sums them over its working-set rounds.
+        Cap on accepted iterations, proximal and Newton steps alike; a fit
+        of row subsamples of X sums them over its working-set rounds.
     tol_kkt : float
         Convergence threshold on the first-order optimality residual.
     support_epsilon : float
@@ -220,8 +232,62 @@ def _loss(y, margins_without_c, c, loss_weight):
     return loss_weight * np.logaddexp(0.0, -(y * (margins_without_c + c[:, None]))).sum(axis=1)
 
 
+def _newton_directions(Z, rows, on, gw, gc, sgn, q, loss_weight):
+    """Newton directions ``(dw, dc)`` of the smooth objectives
+    ``loss_weight * L(w, c) + sgn_S . w_S`` in the weights on each problem's
+    support S (``on``) and its intercept, for the problems at positions
+    ``rows`` (ascending) of the stack Z; ``gw`` and ``gc`` are their loss
+    gradients, ``sgn`` the signs of their weights and ``q`` each row's
+    ``expit(-y * margin)``. ``dw`` is zero off S; also returns ``Z_S dw_S``.
+
+    The Hessian is ``loss_weight * A'DA`` with A a column of ones and the
+    support columns, D the rows' ``q (1 - q)``, its diagonal raised by
+    ``_NEWTON_SHIFT`` times its largest entry. Each system is padded with
+    identity rows and columns to the multiple of ``_NEWTON_WIDTH`` that its
+    own |S| + 1 sets, and the systems of one padded width are solved in one
+    stacked call, which solves each as its own: no problem's direction
+    depends on its stack mates. A singular system gives a direction of nan.
+    """
+    P, n = q.shape
+    dw, dc, uw = np.zeros((P, Z.shape[2])), np.empty(P), np.empty((P, n))
+    D = loss_weight * (q * (1.0 - q))
+    size = on.sum(axis=1)
+    width = -(-(size + 1) // _NEWTON_WIDTH) * _NEWTON_WIDTH
+    for W in np.unique(width).tolist():
+        g = np.flatnonzero(width == W)
+        real = np.arange(W) <= size[g, None]  # the intercept, then S
+        i, j = np.nonzero(real[:, 1:])
+        S = np.nonzero(on[g])[1]  # problem by problem, ascending, as i
+        A = np.zeros((g.size, n, W))
+        A[:, :, 0] = 1.0
+        A[i, :, j + 1] = Z[rows[g[i]], :, S]
+        H = np.matmul(A.transpose(0, 2, 1), A * D[g, :, None])
+        diag = H.reshape(g.size, -1)[:, :: W + 1]
+        diag += _NEWTON_SHIFT * diag.max(axis=1, keepdims=True)
+        diag[~real] = 1.0
+        r = np.zeros((g.size, W, 1))
+        r[:, 0, 0] = -gc[g]
+        r[i, j + 1, 0] = -(gw[g[i], S] + sgn[g[i], S])
+        try:
+            d = np.linalg.solve(H, r)[:, :, 0]
+        except np.linalg.LinAlgError:  # one singular system fails the whole call
+            d = np.stack([_solve_or_nan(h, v) for h, v in zip(H, r)])
+        dc[g] = d[:, 0]
+        dw[g[i], S] = d[i, j + 1]
+        uw[g] = np.matmul(A[:, :, 1:], d[:, 1:, None])[:, :, 0]
+    return dw, dc, uw
+
+
+def _solve_or_nan(H, r):
+    try:
+        return np.linalg.solve(H, r)[:, 0]
+    except np.linalg.LinAlgError:
+        return np.full(H.shape[0], math.nan)
+
+
 def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
-    """Accelerated proximal gradient, in lockstep over a stack of problems.
+    """Accelerated proximal gradient with a Newton finish, in lockstep over a
+    stack of problems.
 
     Minimizes ``loss_weight * L(w, c) + ||w||_1`` for each problem
     ``(Z[b], y[b])`` of the stack Z (B, n, a) of standardized columns, with
@@ -229,11 +295,27 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     the weights: it takes a plain gradient step inside the same backtracked
     step and shares their momentum. Each problem keeps its own step size,
     and its momentum restarts whenever its accepted objective would
-    increase, so no accepted objective increases. A problem leaves the stack
-    at the first rule that ends it: KKT residual at most ``tol_kkt``,
-    ``_STALL_LIMIT`` iterations in a row without relative objective change,
-    no progress even after a restart, or ``max_iters`` (at least 1; one
-    value or one per problem) accepted iterations.
+    increase, so no accepted objective increases.
+
+    Once a problem's signs have held for two iterations and its zero
+    weights satisfy the optimality conditions (``|g_j| <= 1 + tol_kkt``),
+    its next iteration tries a Newton step instead: damped Newton on the
+    smooth objective its signs give on its support S and intercept (see
+    :func:`_newton_directions`; |S| < n so that the system can be regular),
+    the full step halved at most ``_NEWTON_HALVINGS`` times while the
+    objective would rise. The step is accepted only if no
+    weight of S changes sign and the objective does not rise; it then
+    counts as the iteration and restarts the momentum. A failed attempt
+    costs no iteration, as the proximal step follows at once, and the
+    problem waits 2, 4, 8, ... iterations after its 1st, 2nd, 3rd, ...
+    failure on one sign pattern before the next attempt; new signs end the
+    wait.
+
+    A problem leaves the stack at the first rule that ends it: KKT residual
+    at most ``tol_kkt``, no progress even after a restart, or ``max_iters``
+    (at least 1; one value or one per problem) iterations. A problem whose
+    labels hold one class has no finite intercept: it stops before its
+    first iteration with residual inf, not converged.
 
     Returns ``(w, c, objective, kkt, converged, iters, stop)``, one entry per
     problem; ``stop`` indexes ``_STOP_RULES``.
@@ -241,19 +323,29 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     B, n, a = Z.shape
     w = np.array(w0, dtype=np.float64)
     c = np.array(c0, dtype=np.float64)
-    limit = np.broadcast_to(np.asarray(max_iters, dtype=np.int64), (B,))
     mw = _mv(Z, w)
     F = _loss(y, mw, c, loss_weight) + np.abs(w).sum(axis=1)
-    step = np.full(B, 1.0 / (0.25 * loss_weight * n + 1e-12))
-    t = np.ones(B)
-    kkt = np.full(B, math.inf)
-    stall = np.zeros(B, dtype=np.int64)
-    it = np.zeros(B, dtype=np.int64)
-    wy, mwy, cy = w.copy(), mw.copy(), c.copy()
-    pid = np.arange(B)  # original index of each problem still in the stack
+    out_w, out_c, out_F = w.copy(), c.copy(), F.copy()
+    out_kkt, out_it = np.full(B, math.inf), np.zeros(B, dtype=np.int64)
+    one_class = (y == y[:, :1]).all(axis=1)
+    out_stop = np.where(one_class, _ONE_CLASS, -1).astype(np.int8)
+    pid = np.flatnonzero(~one_class)  # original index of each problem still in the stack
+    y, w, mw, c, F = (v[pid] for v in (y, w, mw, c, F))
     stack, in_z = Z, pid  # Z is the caller's stack or a gather from it; in_z its rows
-    out_w, out_c, out_F = np.empty((B, a)), np.empty(B), np.empty(B)
-    out_kkt, out_it, out_stop = np.empty(B), np.empty(B, dtype=np.int64), np.empty(B, dtype=np.int8)
+    limit = np.broadcast_to(np.asarray(max_iters, dtype=np.int64), (B,))
+    P = pid.size
+    step = np.full(P, 1.0 / (0.25 * loss_weight * n + 1e-12))
+    t = np.ones(P)
+    kkt = np.full(P, math.inf)
+    it = np.zeros(P, dtype=np.int64)
+    wy, mwy, cy = w.copy(), mw.copy(), c.copy()
+    sgn = np.sign(w)
+    # Newton state: due to try at the next iteration, iterations since the
+    # signs last changed, and the back-off
+    due = np.zeros(P, dtype=bool)
+    settled = np.zeros(P, dtype=np.int64)
+    wait, next_try = np.ones(P, dtype=np.int64), np.zeros(P, dtype=np.int64)
+    gw = gc = q = None  # gradient parts of the last accepted iterates
 
     def attempt(sel, from_w, from_mw, from_c):
         """One backtracked proximal step in (w, c) from (from_w, from_c) for
@@ -301,6 +393,31 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             step[sel] = st
         return w_cand, mw_cand, c_cand, f_cand + np.abs(w_cand).sum(axis=1)
 
+    def newton(sel):
+        """Damped Newton steps from the accepted iterates of the live
+        problems ``sel`` (ascending positions). Returns whether each step
+        was accepted and the new ``(w, mw, c, F)`` where it was."""
+        ws, mws, cs, Fs, sg = w[sel], mw[sel], c[sel], F[sel], sgn[sel]
+        dw, dc, uw = _newton_directions(Z, in_z[sel], np.abs(ws) > support_epsilon, gw[sel],
+                                        gc[sel], sg, q[sel], loss_weight)
+        ok = np.zeros(sel.size, dtype=bool)
+        todo = np.flatnonzero(np.isfinite(dw).all(axis=1) & np.isfinite(dc))
+        h = 1.0
+        for _ in range(_NEWTON_HALVINGS + 1):
+            if not todo.size:
+                break
+            wc, mwc = ws[todo] + h * dw[todo], mws[todo] + h * uw[todo]
+            cc = cs[todo] + h * dc[todo]
+            Fc = _loss(y[sel[todo]], mwc, cc, loss_weight) + np.abs(wc).sum(axis=1)
+            flip = (np.sign(wc) != sg[todo]).any(axis=1)
+            good = ~flip & (Fc <= Fs[todo])
+            at = todo[good]
+            ok[at] = True
+            ws[at], mws[at], cs[at], Fs[at] = wc[good], mwc[good], cc[good], Fc[good]
+            todo = todo[~flip & ~good]
+            h *= 0.5
+        return ok, ws, mws, cs, Fs
+
     def finish(done, code):
         """Record the problems ``done`` as stopped by rule ``code``."""
         at = pid[done]
@@ -308,7 +425,22 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         out_kkt[at], out_it[at], out_stop[at] = kkt[done], it[done], code
 
     while pid.size:
+        took = np.zeros(0, dtype=np.int64)
+        if due.any():
+            tried = np.flatnonzero(due)
+            ok, *cand = newton(tried)
+            failed = tried[~ok]
+            wait[failed] *= 2
+            next_try[failed] = it[failed] + wait[failed]
+            took = tried[ok]
+        # the proximal step runs on the whole stack, which costs less than on
+        # the runs between the Newton steps; a Newton step replaces its
+        # problem's, whose step size the backtracking must not have changed
+        kept_step = step[took]
         w_cand, mw_cand, c_cand, F_cand = attempt(None, wy, mwy, cy)
+        if took.size:
+            step[took] = kept_step
+            w_cand[took], mw_cand[took], c_cand[took], F_cand[took] = (v[ok] for v in cand)
         slack = 1e-12 * np.maximum(1.0, np.abs(F))
         over = np.flatnonzero(F_cand > F + slack)
         stuck = np.zeros(pid.size, dtype=bool)
@@ -319,18 +451,18 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
             w_cand[over], mw_cand[over], c_cand[over], F_cand[over] = restarted
             stuck[over] = F_cand[over] > F[over] + slack[over]  # numerical floor
             finish(stuck, _NO_PROGRESS)
-        w_prev, mw_prev, c_prev, F_prev = w, mw, c, F
+        w_prev, mw_prev, c_prev, sgn_prev = w, mw, c, sgn
         w, mw, c, F = w_cand, mw_cand, c_cand, np.minimum(F_cand, F)
         it = it + 1
 
-        gvec = -(y * expit(-(y * (mw + c[:, None]))))
+        q = expit(-(y * (mw + c[:, None])))
+        gvec = -(y * q)
         gw = loss_weight * _on_stack(_tmv, Z, in_z, gvec)
         gc = loss_weight * gvec.sum(axis=1)
-        kkt = np.maximum(_l1_violation(gw, w, support_epsilon).max(axis=1, initial=0.0),
-                         np.abs(gc))
-        stall = np.where(np.abs(F_prev - F) <= _TOL_OBJECTIVE * np.maximum(1.0, np.abs(F)),
-                         stall + 1, 0)
-        rule = np.where(kkt <= tol_kkt, _KKT, np.where(stall >= _STALL_LIMIT, _STALL, -1))
+        viol = _l1_violation(gw, w, support_epsilon)
+        kkt = np.maximum(viol.max(axis=1, initial=0.0), np.abs(gc))
+        rule = np.where(kkt <= tol_kkt, _KKT, -1)
+        t[took] = 1.0  # a Newton step restarts the momentum
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         wy = w + beta[:, None] * (w - w_prev)
@@ -338,6 +470,12 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         cy = c + beta * (c - c_prev)
         t = t_next
         step *= 1.1
+        sgn = np.sign(w)
+        settled = np.where((sgn == sgn_prev).all(axis=1), settled + 1, 0)
+        wait[settled == 0], next_try[settled == 0] = 1, 0  # new signs, no back-off
+        off = np.abs(w) <= support_epsilon
+        due = ((settled >= 2) & (it >= next_try) & ((~off).sum(axis=1) < n)
+               & ~(off & (viol > tol_kkt)).any(axis=1))
         rule[(rule < 0) & (it >= limit[pid])] = _MAX_ITERS
         rule[stuck] = _NO_PROGRESS
         live = rule < 0
@@ -351,8 +489,9 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
                 # dropping the old gather first: at most half a stack extra
                 Z = None
                 Z, in_z = stack[pid], np.arange(pid.size)
-            wy, mwy, cy = (v[keep] for v in (wy, mwy, cy))
-            t, step, kkt, stall, it = (v[keep] for v in (t, step, kkt, stall, it))
+            wy, mwy, cy, sgn, gw, gc, q = (v[keep] for v in (wy, mwy, cy, sgn, gw, gc, q))
+            t, step, kkt, it = (v[keep] for v in (t, step, kkt, it))
+            due, settled, wait, next_try = (v[keep] for v in (due, settled, wait, next_try))
     return out_w, out_c, out_F, out_kkt, out_kkt <= tol_kkt, out_it, out_stop
 
 
@@ -464,7 +603,8 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
     full gradients; the worst violators join each set, at most k in the
     first round (an L1 solution in general position has at most k nonzeros)
     and twice as many each round after. A problem finishes when it passes
-    the KKT check or its iteration budget runs out.
+    the KKT check or its iteration budget runs out. A subsample whose
+    labels hold one class is never fitted: not converged, residual inf.
     """
     B, k = y.shape
     lw, tol, eps = cfg.loss_weight, cfg.tol_kkt, cfg.support_epsilon
@@ -476,9 +616,9 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
     active = [np.zeros(0, dtype=np.int64)] * B
     weights = [np.zeros(0)] * B  # on the active set; the rest are zero
     mw = np.zeros((B, k))
-    kkt = np.full(B, math.inf)
+    kkt = np.full(B, math.inf)  # and so it stays for labels of one class, as in _prox_solve
     grow = np.full(B, k)
-    live = np.arange(B)
+    live = np.flatnonzero(~(y == y[:, :1]).all(axis=1))
     for _ in range(_MAX_OUTER):
         gvec = -(y[live] * expit(-(y[live] * (mw[live] + c[live, None]))))
         gw = cols.gradient(live, gvec)
@@ -608,7 +748,8 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
         Weights in the standardized basis (constant columns get exactly 0),
         intercept, objective value, optimality residual, and a convergence
         flag; non-convergence returns the best iterate flagged, it does not
-        raise.
+        raise. Labels of one class have no finite intercept: the fit
+        returns zero weights, not converged, with residual inf.
     """
     X, y = _validate_problem(X, y)
     m = X.shape[1]

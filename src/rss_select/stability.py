@@ -308,7 +308,8 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
     call and returns (selected feature indices, SolverSolution) for each.
     ``designs``, if given, maps (start, stop) to designs made so far and
     takes those drawn now. Aborts when more than _MAX_FAILURE_FRACTION of
-    the fits do not converge.
+    the fits do not converge, counting those whose drawn rows hold one
+    class, which the solver reports with residual inf.
 
     ``threads > 1`` runs the batches on a thread pool, when there are two or
     more. Every iteration owns its stream and the batches do not depend on
@@ -344,10 +345,13 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
             failures.append((k, kkt))
     if len(failures) > _MAX_FAILURE_FRACTION * K:
         k0, kkt0 = failures[0]
+        one_class = sum(math.isinf(kkt) for _, kkt in failures)
         raise RuntimeError(
             f"{len(failures)} of {K} resampled fits failed to converge "
-            f"(limit {_MAX_FAILURE_FRACTION:.0%}); first failure at iteration {k0} "
-            f"with optimality residual {kkt0:.3e}"
+            f"(limit {_MAX_FAILURE_FRACTION:.0%})"
+            + (f", {one_class} of them on drawn rows of one class, which no finite "
+               "intercept fits (draw more rows)" if one_class else "")
+            + f"; first failure at iteration {k0} with optimality residual {kkt0:.3e}"
         )
     return StabilityScores(counts=counts, K=K)
 

@@ -143,6 +143,29 @@ def test_select_rss_without_parcellation_fails(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", [["rss", "--alpha", "0.2"],
+                                    ["rand-l1", "--row-fraction", "0.2"]])
+def test_select_on_one_class_row_subsamples_fails_with_the_cause(tmp_path, capsys, method):
+    """Six rows at a row fraction of 0.2 draw one row per fit, so every fit
+    sees one class and has no finite intercept. Such fits are not converged,
+    and the run fails with an error that names one-class rows, instead of
+    writing scores of 0 for every voxel."""
+    data = tmp_path / "synth" / "dataset"
+    assert main(["synth", "--out-dir", str(data.parent), "--dims", "8x8x4", "--mask", "200",
+                 "--clusters", "5,5,5,5,5", "--n-per-group", "3"]) == 0
+    assert main(["cluster", "--dataset", str(data), "--q", "10",
+                 "--out-dir", str(tmp_path / "parc")]) == 0
+    capsys.readouterr()
+    code = main(["select", "--dataset", str(data), "--method", *method, "--K", "20",
+                 "--parcellation", str(tmp_path / "parc" / "parcellation.csv"),
+                 "--out-dir", str(tmp_path / "sel")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: 20 of 20 resampled fits failed to converge")
+    assert "20 of them on drawn rows of one class" in err and "Traceback" not in err
+    assert not (tmp_path / "sel" / "scores.csv").exists()
+
+
 def test_select_threads_flag_never_changes_bytes(workspace, tmp_path):
     outs = []
     for threads in ("1", "2"):

@@ -148,7 +148,8 @@ def test_objective_never_increases_with_more_iterations():
         assert b <= a + 1e-12 * max(1.0, abs(a))
 
 
-def test_constant_column_weight_is_exactly_zero(pad=0):
+@pytest.mark.parametrize("pad", [0, 1100])
+def test_constant_column_weight_is_exactly_zero(pad):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(8, 3))
     X[:, 1] = 7.7
@@ -160,11 +161,8 @@ def test_constant_column_weight_is_exactly_zero(pad=0):
     assert sol.w[1] == 0.0
 
 
-def test_constant_column_weight_is_exactly_zero_wide_path():
-    test_constant_column_weight_is_exactly_zero(pad=1100)
-
-
-def test_column_scale_of_ones_changes_nothing(pad=0):
+@pytest.mark.parametrize("pad", [0, 1100])
+def test_column_scale_of_ones_changes_nothing(pad):
     rng = np.random.default_rng(5)
     X, y = _random_instance(rng)
     X = _pad_with_noise(X, pad, 41)
@@ -175,11 +173,8 @@ def test_column_scale_of_ones_changes_nothing(pad=0):
     assert a.c == b.c
 
 
-def test_column_scale_of_ones_changes_nothing_wide_path():
-    test_column_scale_of_ones_changes_nothing(pad=1100)
-
-
-def test_column_scale_can_push_a_column_out_of_the_support(pad=0):
+@pytest.mark.parametrize("pad", [0, 1100])
+def test_column_scale_can_push_a_column_out_of_the_support(pad):
     """Scaling a column by s < 1 after standardization is the randomized-lasso
     weakness trick: the column's effective penalty grows by 1/s, so a strong
     enough damping keeps an otherwise-selected column out of the support."""
@@ -194,10 +189,6 @@ def test_column_scale_can_push_a_column_out_of_the_support(pad=0):
     scale[0] = 0.01
     damped = fit_l1_logistic(X, y, cfg, column_scale=scale)
     assert 0 not in damped.support(cfg.support_epsilon)
-
-
-def test_column_scale_can_push_a_column_out_of_the_support_wide_path():
-    test_column_scale_can_push_a_column_out_of_the_support(pad=1100)
 
 
 def test_solver_input_validation():
@@ -406,7 +397,7 @@ def test_lockstep_kernel_replays_reference_loop(instance):
     """Every problem of a stack gets, to the bit, what the single-problem loop
     gives it on its own: weights, intercept, objective, residual, flag and
     iteration count. Tight tolerances, separable labels and low caps drive
-    problems into the stall and iteration-cap rules too."""
+    problems into the iteration-cap rule too."""
     Z, y, lw, w0, c0, cap, tol = instance
     w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
     for b in range(Z.shape[0]):
@@ -448,6 +439,129 @@ def test_lockstep_result_ignores_batch_mates():
         for i, b in enumerate(order):
             for part, want in zip(got, alone[b]):
                 assert part[i].tobytes() == want[0].tobytes()
+
+
+def _steps(Z, y, lw, w0, c0, cap, tol):
+    """The oracle's ``(kind, objective before, objective after)`` for each
+    iteration of each problem of a stack, and its results."""
+    runs = []
+    for b in range(Z.shape[0]):
+        steps = []
+        runs.append((oracles.prox_solve_reference(Z[b], y[b], lw, w0[b], c0[b], cap, tol, 1e-8,
+                                                  steps=steps), steps))
+    return runs
+
+
+def test_newton_finishes_stack_mates_at_different_iterations():
+    """Six problems whose labels follow the first 1 to 6 columns finish by
+    Newton steps after 11 to 16 iterations, on supports of 5, 6 and 8
+    columns (Newton systems of two padded widths), each with the bytes of
+    the single-problem loop: the lockstep kernel solves each problem's
+    system as its own."""
+    rng = np.random.default_rng(5)
+    B, n, a = 6, 40, 10
+    Z = rng.normal(size=(B, n, a))
+    Z = (Z - Z.mean(axis=1, keepdims=True)) / Z.std(axis=1, keepdims=True)
+    y = np.empty((B, n))
+    for b in range(B):
+        score = 2.0 * Z[b, :, : b + 1].sum(axis=1) + 0.7 * rng.normal(size=n)
+        y[b] = np.where(score > 0, 1.0, -1.0)
+    w0, c0 = np.zeros((B, a)), np.zeros(B)
+    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, 1.0, w0, c0, 10000, 1e-9, 1e-8)
+    finished_at, sizes = set(), set()
+    for b, ((ww, wc, wobj, wkkt, wconv, wit), steps) in enumerate(
+            _steps(Z, y, 1.0, w0, c0, 10000, 1e-9)):
+        assert w[b].tobytes() == ww.tobytes()
+        assert (c[b], obj[b], kkt[b], iters[b]) == (wc, wobj, wkkt, wit)
+        assert solver._STOP_RULES[stop[b]] == "kkt" and steps[-1][0] == "newton"
+        finished_at.add(int(iters[b]))
+        sizes.add(int((np.abs(w[b]) > 1e-8).sum()))
+    assert len(finished_at) >= 4 and sizes == {5, 6, 8}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lockstep_instances())
+def test_newton_steps_never_raise_the_objective_and_stop_by_kkt(instance):
+    """No Newton step raises its problem's objective. A problem that stops
+    right after a Newton step stops by ``kkt`` unless that step was its
+    last allowed iteration, and no problem runs past its cap."""
+    Z, y, lw, w0, c0, cap, tol = instance
+    _, _, obj, _, _, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
+    for b, (_, steps) in enumerate(_steps(Z, y, lw, w0, c0, cap, tol)):
+        assert all(after <= before for kind, before, after in steps if kind == "newton")
+        assert iters[b] == len(steps) <= cap
+        rule = solver._STOP_RULES[stop[b]]
+        if rule == "max iters":
+            assert iters[b] == cap
+        if steps and steps[-1][0] == "newton":
+            assert rule == "kkt" or (rule == "max iters" and iters[b] == cap)
+            assert obj[b] <= steps[-1][1]
+
+
+def test_singular_newton_system_fails_alone():
+    """A problem whose rows all sit far out on the logistic tails has no
+    curvature: its Newton system is singular, and its direction is nan,
+    while the stack mate solved in the same call gets its own direction."""
+    rng = np.random.default_rng(2)
+    Z = rng.normal(size=(2, 9, 3))
+    on = np.array([[True, False, True], [True, False, True]])
+    q = np.full((2, 9), 0.3)
+    q[0] = 0.0  # margins beyond the reach of expit
+    gw, gc, sgn = rng.normal(size=(2, 3)), rng.normal(size=2), np.sign(rng.normal(size=(2, 3)))
+    rows = np.arange(2)
+    dw, dc, uw = solver._newton_directions(Z, rows, on, gw, gc, sgn, q, 1.5)
+    alone = solver._newton_directions(Z[1:], rows[:1], on[1:], gw[1:], gc[1:], sgn[1:], q[1:], 1.5)
+    assert np.isnan(dw[0, [0, 2]]).all() and np.isnan(dc[0]) and dw[0, 1] == 0.0
+    for got, want in zip((dw, dc, uw), alone):
+        assert got[1].tobytes() == want[0].tobytes()
+    assert np.isfinite(dw[1]).all() and dw[1, 1] == 0.0
+
+
+def test_fit_whose_residual_oscillated_now_stops_by_kkt():
+    """A 10 x 4 fit of criterion 7 (trial 3, permutation 8, iteration 1,
+    loss weight 4). With proximal steps alone its KKT residual rose and fell
+    between 1e-6 and 1.1e-5 for 26 iterations and met tol_kkt 1e-6 after
+    35; the Newton finish stops it by ``kkt`` after 5, far below tol_kkt."""
+    Z = np.array([
+        [-0.7741665622340212, 0.929898188629046, -0.2131423711508667, -0.1671513073074663],
+        [-0.6319054486899344, -1.4614284777447926, 0.24355279009074546, -1.514095495779545],
+        [0.8297825056279053, -0.48253266356597513, -1.4761508502001628, 0.00900702804526812],
+        [-1.9318168445471553, -0.6810647452297881, -0.07416471938466929, -0.9491429632968229],
+        [0.6123447595942908, 0.25353435409311115, 1.3659611998479415, 0.8942984621664368],
+        [1.4975116780633293, -0.7204515535194611, -0.5860973050375342, -0.3953505999511356],
+        [1.010987261303416, -0.30543240324720444, -1.4181680150956828, 1.4620256998969372],
+        [0.31059910210946184, -0.691670443149828, 1.8067544813049938, -0.6069436606270004],
+        [-0.004198645235698659, 1.8603717588706055, -0.11067099041107446, 1.754738098622254],
+        [-0.919137805991592, 1.2987759848642872, 0.46212578003630994, -0.48738526176892527]])
+    y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    sol, = solver.fit_l1_standardized(Z[None], y[None], SolverConfig(loss_weight=4.0))
+    _, _, _, kkt, _, iters, stop = solver._prox_solve(Z[None], y[None], 4.0, np.zeros((1, 4)),
+                                                      np.zeros(1), 10000, 1e-6, 1e-8)
+    assert solver._STOP_RULES[stop[0]] == "kkt" and iters[0] <= 6 and kkt[0] <= 1e-9
+    assert sol.converged and sol.n_iters <= 6 and sol.kkt_residual <= 1e-9
+    assert sol.objective == pytest.approx(27.428151809149856, rel=1e-12)
+
+
+def test_one_class_labels_are_never_fitted():
+    """Labels of one class have no finite intercept: such a problem stops
+    before its first iteration, not converged, with residual inf, on the
+    stacked path and through fit_l1_batch, while its stack mates fit as
+    they would alone."""
+    Z, y = _stack(np.random.default_rng(8), 3, 12, 4)
+    y[1] = -1.0
+    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, 2.0, np.zeros((3, 4)),
+                                                           np.zeros(3), 500, 1e-8, 1e-8)
+    assert solver._STOP_RULES[stop[1]] == "one class"
+    assert (kkt[1], bool(conv[1]), iters[1]) == (math.inf, False, 0) and not w[1].any()
+    for b in (0, 2):
+        alone = solver._prox_solve(Z[b:b + 1], y[b:b + 1], 2.0, np.zeros((1, 4)), np.zeros(1),
+                                   500, 1e-8, 1e-8)
+        assert all(part[b].tobytes() == want[0].tobytes()
+                   for part, want in zip((w, c, obj, kkt, conv, iters, stop), alone))
+    X, rows = Z.reshape(-1, 4), np.arange(36).reshape(3, 12)
+    sols = solver.fit_l1_batch(X, y.reshape(-1), rows, SolverConfig(loss_weight=2.0))
+    assert [sol.converged for sol in sols] == [True, False, True]
+    assert sols[1].kkt_residual == math.inf and not sols[1].w.any()
 
 
 def _wide_subsamples(seed, B, n=36, m=1100, k=18):
