@@ -6,6 +6,7 @@ evaluation harness treats every method uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,18 @@ def ttest_scores(dataset: Dataset) -> np.ndarray:
 
 
 def l1_weight_scores(dataset: Dataset, solver_config: SolverConfig) -> np.ndarray:
-    """Absolute weights of a single L1 logistic fit on the full data."""
+    """Absolute weights of a single L1 logistic fit on the full data.
+
+    Raises RuntimeError when the fit does not converge, for instance on
+    labels of one class, whose fit has no weights to score.
+    """
     sol = fit_l1_logistic(dataset.X, dataset.y, solver_config)
+    if not sol.converged:
+        raise RuntimeError(
+            "the l1 fit did not converge: "
+            + ("the labels hold one class, which no finite intercept fits"
+               if math.isinf(sol.kkt_residual)
+               else f"optimality residual {sol.kkt_residual:.3e} after {sol.n_iters} iterations"))
     return np.abs(sol.w)
 
 

@@ -50,6 +50,11 @@ within 4 MiB, at most 64.
 The ridge fit is exact damped Newton in the row space of the standardized
 matrix: the minimizer lies in the span of its rows, so Newton runs on at
 most n coordinates plus the intercept, whatever the column count.
+
+Every fit takes its logistic from ``expit``, numpy's ``1 / (1 + exp(-x))``
+with its argument clamped so that exp cannot overflow; it agrees with
+scipy's ``expit`` within 4 ulp on |x| <= 700. The module imports no scipy:
+importing ``scipy.special`` took more than half of the CLI's start-up.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, SolverSolution
 
@@ -184,6 +188,18 @@ def _initial_intercept(y):
     if n_pos == 0 or n_neg == 0:
         return 0.0
     return math.log(n_pos / n_neg)
+
+
+def expit(x):
+    """The logistic ``1 / (1 + exp(-x))`` of each entry of the array x, as
+    a new array; exactly 0.5 at 0. Arguments below -709 count as -709, so
+    exp never overflows and no warning is raised: there the result is
+    1.2e-308 instead of a smaller number or 0."""
+    t = np.negative(x)
+    np.minimum(t, 709.0, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
 
 
 def _soft_threshold(v, t):

@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset, GridGeometry, derive_stream, read_csv_rows
 
@@ -23,8 +22,10 @@ _N_CLUSTERS = 5
 _MAX_REJECTION_ROUNDS = 10**6
 # |constraint_threshold| / noise_sd at which the stricter side of the triple
 # constraint accepts 1e-4 of draws (a triple sums to N(0, 3 noise_sd^2)): the
-# reference instance then needs about 1e5 rounds (17-31 s on 2 vCPUs)
-_MAX_THRESHOLD_SDS = -ndtri(1e-4) * 3**0.5
+# reference instance then needs about 1e5 rounds (17-31 s on 2 vCPUs). The
+# literal is -scipy.special.ndtri(1e-4) * 3**0.5, written out so that the
+# module does not import scipy
+_MAX_THRESHOLD_SDS = 6.441525506995479
 
 
 @dataclass(frozen=True)

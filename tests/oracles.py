@@ -1,16 +1,20 @@
 """Independent reference implementations used by the tests.
 
 Everything here is deliberately dumb and slow: dense grid scans, exhaustive
-enumeration, plain python set arithmetic, and finite differences. None of it
-imports the package under test, so a passing comparison means two unrelated
-code paths agree.
+enumeration, plain python set arithmetic, and finite differences. It takes
+one function from the package under test, the solver's logistic ``expit``:
+the replays of the L1 kernel are compared with it bit for bit, and numpy's
+exp rounds differently from scipy's. The logistic itself is checked against
+scipy's in the solver tests. Everything else is independent, so a passing
+comparison means two unrelated code paths agree.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.special import expit
+
+from rss_select.solver import expit
 
 
 def logistic_objective(Z, y, loss_weight, w, c, l1=True, ridge=0.0):

