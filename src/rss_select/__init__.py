@@ -28,7 +28,6 @@ from .data import (
     RngStream,
     SolverSolution,
     StabilityScores,
-    derive_stream,
     load_dataset,
     save_dataset,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "build_feature_vectors",
     "cluster_quotas",
     "cv_threshold",
-    "derive_stream",
     "fit_l1_logistic",
     "fit_l2_logistic",
     "generate_synthetic",

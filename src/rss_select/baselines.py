@@ -18,19 +18,19 @@ from .stability import draw_row_subsample, resample
 
 @dataclass(frozen=True)
 class RandL1Config:
-    """Randomized reweighted L1: subsample rows, jitter per-column penalties."""
+    """Randomized reweighted L1: subsample a fraction alpha of the rows, jitter penalties."""
 
     solver: SolverConfig
     K: int = 500
-    row_fraction: float = 0.5
+    alpha: float = 0.5
     weakness: float = 0.5
     master_seed: int = 0
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be positive")
-        if not (0 < self.row_fraction <= 1):
-            raise ValueError("row_fraction must lie in (0, 1]")
+        if not (0 < self.alpha <= 1):
+            raise ValueError("alpha must lie in (0, 1]")
         if not (0 < self.weakness <= 1):
             raise ValueError("weakness must lie in (0, 1]")
 
@@ -59,19 +59,23 @@ def l1_weight_scores(dataset: Dataset, solver_config: SolverConfig) -> np.ndarra
     Raises RuntimeError when the fit does not converge, for instance on
     labels of one class, whose fit has no weights to score.
     """
-    sol = fit_l1_logistic(dataset.X, dataset.y, solver_config)
-    if not sol.converged:
-        raise RuntimeError(
-            "the l1 fit did not converge: "
-            + ("the labels hold one class, which no finite intercept fits"
-               if math.isinf(sol.kkt_residual)
-               else f"optimality residual {sol.kkt_residual:.3e} after {sol.n_iters} iterations"))
-    return np.abs(sol.w)
+    return _converged_weights("l1", fit_l1_logistic(dataset.X, dataset.y, solver_config))
 
 
 def l2_weight_scores(dataset: Dataset, lambda_ridge: float) -> np.ndarray:
-    """Absolute weights of a single ridge logistic fit on the full data."""
-    sol = fit_l2_logistic(dataset.X, dataset.y, lambda_ridge)
+    """Absolute weights of a single ridge logistic fit on the full data;
+    raises as :func:`l1_weight_scores` does."""
+    return _converged_weights("l2", fit_l2_logistic(dataset.X, dataset.y, lambda_ridge))
+
+
+def _converged_weights(name, sol) -> np.ndarray:
+    """|w| of the fit ``sol``; RuntimeError naming the cause if it did not converge."""
+    if not sol.converged:
+        raise RuntimeError(
+            f"the {name} fit did not converge: "
+            + ("the labels hold one class, which no finite intercept fits"
+               if math.isinf(sol.kkt_residual)
+               else f"optimality residual {sol.kkt_residual:.3e} after {sol.n_iters} iterations"))
     return np.abs(sol.w)
 
 
@@ -89,7 +93,7 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     eps = config.solver.support_epsilon
 
     def draw(gens):
-        return [(draw_row_subsample(dataset.n, config.row_fraction, gen),
+        return [(draw_row_subsample(dataset.n, config.alpha, gen),
                  gen.uniform(config.weakness, 1.0, size=dataset.p)) for gen in gens]
 
     def fit(draws):

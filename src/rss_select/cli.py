@@ -33,7 +33,7 @@ from .clustering import (
     save_parcellation,
     within_cluster_ss,
 )
-from .data import derive_stream, load_dataset, save_dataset, sha256_file
+from .data import RngStream, load_dataset, save_dataset, sha256_file
 from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
     cv_threshold,
@@ -154,7 +154,7 @@ def cmd_cluster(args):
         )
     config = ClusterConfig(
         q=args.q,
-        seed=derive_stream(args.seed, 0),
+        seed=RngStream(args.seed, 0),
         restarts=args.restarts,
         max_lloyd_iters=args.max_lloyd_iters,
         spatial_weight=args.spatial_weight,
@@ -212,14 +212,14 @@ def _build_count_selector(args, dataset):
     config = RandL1Config(
         solver=_solver_config(args),
         K=resamplings,
-        row_fraction=args.row_fraction,
+        alpha=args.alpha,
         weakness=args.weakness,
         master_seed=args.seed,
     )
     meta = {
         "method": "rand-l1",
         "K": config.K,
-        "row_fraction": config.row_fraction,
+        "alpha": config.alpha,
         "weakness": config.weakness,
         "loss_weight": args.loss_weight,
         "master_seed": args.seed,
@@ -290,6 +290,8 @@ def cmd_eval(args):
         test = load_dataset(args.test)
         inputs.update(_dataset_checksums(args.train))
         inputs.update(_dataset_checksums(args.test))
+        if values.size != train.p:
+            raise ValueError("scores must align with dataset features")
         features = np.flatnonzero(values >= args.tau)
         if features.size == 0:
             raise ValueError(f"no features reach tau={args.tau}")
@@ -352,13 +354,12 @@ def _add_selector_flags(sub):
     sub.add_argument("--parcellation", help="parcellation CSV (required for rss)")
     sub.add_argument("--K", dest="K", type=int, default=None,
                      help="resampling iterations; defaults to 50 for rss, 500 for rand-l1")
-    sub.add_argument("--alpha", type=float, default=0.5, help="row fraction per iteration")
+    sub.add_argument("--alpha", type=float, default=0.5,
+                     help="row fraction per iteration (rss and rand-l1)")
     sub.add_argument("--beta", type=float, default=0.1, help="per-cluster feature fraction")
     sub.add_argument("--block", default="3x3x3", help="block shape, e.g. 3x3x3")
     sub.add_argument("--loss-weight", type=float, default=DEFAULT_LOSS_WEIGHT,
                      help="weight on the logistic loss in the L1 objective")
-    sub.add_argument("--row-fraction", type=float, default=0.5,
-                     help="rand-l1 row fraction per iteration")
     sub.add_argument("--weakness", type=float, default=0.5,
                      help="rand-l1 penalty jitter lower bound, in (0, 1]")
 

@@ -272,11 +272,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def derive_stream(master_seed: int, stream_id: int) -> RngStream:
-    """Derive the stream with the given id from a 64-bit master seed."""
-    return RngStream(master_seed, stream_id)
-
-
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset container directory (manifest.json, X.bin, mask.bin).
 

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, StabilityScores, derive_stream, with_permuted_labels
+from .data import Dataset, RngStream, StabilityScores, with_permuted_labels
 from .solver import apply_standardization, fit_l2_standardized, standardize_columns
 from .solver import fit_l2_logistic  # noqa: F401  perfbench traces this name here
 from .stability import sharing_designs, threshold_scores
@@ -91,7 +91,7 @@ def top_t_selection(scores, T: int) -> np.ndarray:
 
 
 def _stratified_folds(y, n_folds, seed):
-    gen = derive_stream(seed, 0).generator()
+    gen = RngStream(seed, 0).generator()
     fold_of = np.empty(y.size, dtype=np.int64)
     for label in (1, -1):
         idx = np.flatnonzero(y == label)
@@ -142,13 +142,15 @@ def prediction_accuracy(train: Dataset, test: Dataset, features,
     """Accuracy on the test set of a ridge logistic fit on selected features.
 
     The test matrix is transformed with the training standardization
-    statistics; a zero margin predicts +1.
+    statistics; a zero margin predicts +1. Training labels of one class fail.
     """
     features = _as_index_array(features)
     if features.size < 1:
         raise ValueError("features must be non-empty")
     if train.p != test.p:
         raise ValueError("train and test disagree on feature count")
+    if (train.y == train.y[0]).all():
+        raise ValueError("training labels hold one class")
     if features.min() < 0 or features.max() >= train.p:
         raise ValueError("feature indices out of range")
     return _ridge_accuracy(train.X[:, features], train.y, test.X[:, features], test.y,
@@ -198,7 +200,7 @@ def permutation_fp_estimate(dataset: Dataset,
         observed = threshold_scores(selector(dataset), tau).size
         counts = []
         for b in range(1, B + 1):
-            gen = derive_stream(seed, b).generator()
+            gen = RngStream(seed, b).generator()
             permuted = with_permuted_labels(dataset, gen.permutation(dataset.n))
             counts.append(threshold_scores(selector(permuted), tau).size)
     return PermutationReport(tau=float(tau), B=int(B),

@@ -40,12 +40,12 @@ one pass over X, the screens are one product of X with the residuals (zero
 on the rows a subsample did not draw), and only active columns are ever
 built. A fit of X can therefore differ in the last digits from the same
 fit made alone, or in another kernel call, as one-pass statistics round
-differently from two-pass ones and active sets of different sizes are
-padded with zero columns; the difference can move the iteration at which
-it meets its tolerance. Every entry point makes one kernel call and only
-reads its inputs; the resampling loop decides how many problems share a
-call, by ``lockstep_batch_size``: as many fits as keep one batch array
-within 4 MiB, at most 64.
+with the column means of the X they shift by, and active sets of different
+sizes are padded with zero columns; the difference can move the iteration
+at which it meets its tolerance. Every entry point makes one kernel call
+and only reads its inputs; the resampling loop decides how many problems
+share a call, by ``lockstep_batch_size``: as many fits as keep one batch
+array within 4 MiB, at most 64.
 
 The ridge fit is exact damped Newton in the row space of the standardized
 matrix: the minimizer lies in the span of its rows, so Newton runs on at
@@ -570,18 +570,12 @@ class _ImplicitColumns:
     constant columns get 0. Rounding in ``X'g`` grows like
     ``eps * n * |mean| / std``, so the few columns whose mean exceeds
     ``_CANCEL_RATIO`` times their std are kept as built columns and
-    multiplied directly. Statistics over every row are the exact two-pass
-    ones, which cost no more than the one-pass subsample statistics.
+    multiplied directly.
     """
 
     def __init__(self, X, rows, scale):
         self.X, self.rows, self.scale = X, rows, scale
-        if rows.shape[1] == X.shape[0]:
-            stats = _column_stats(X)
-            self.mean, self.std, self.keep = (np.repeat(v[None], rows.shape[0], axis=0)
-                                              for v in stats)
-        else:
-            self.mean, self.std, self.keep = _subsample_stats(X, rows)
+        self.mean, self.std, self.keep = _subsample_stats(X, rows)
         self.exact = [np.flatnonzero(keep & (np.abs(mean) > _CANCEL_RATIO * std))
                       for mean, std, keep in zip(self.mean, self.std, self.keep)]
         self.Z_exact = [self.columns(b, idx) for b, idx in enumerate(self.exact)]
@@ -787,7 +781,8 @@ def fit_l2_logistic(X, y, lambda_ridge) -> SolverSolution:
     2004): with the thin SVD ``Z = U S V'`` the minimizer is ``w = V b``, so
     Newton runs on b and the intercept, at most n + 1 coordinates. Stops when
     ``Z'g + lambda_ridge * w`` and the intercept gradient fall to 1e-6.
-    Constant columns get weight exactly 0.
+    Constant columns get weight exactly 0. Labels of one class are not
+    fitted: zero weights, not converged, residual inf.
     """
     X, y = _validate_problem(X, y)
     Z, _, _, keep = standardize_columns(X)
@@ -803,6 +798,9 @@ def fit_l2_standardized(Z, y, lambda_ridge) -> SolverSolution:
     lam = float(lambda_ridge)
     if not (lam >= 0 and math.isfinite(lam)):
         raise ValueError("lambda_ridge must be non-negative and finite")
+    if (y == y[0]).all():  # no finite intercept fits one class, as in _prox_solve
+        return SolverSolution(w=np.zeros(Z.shape[1]), c=0.0, objective=y.size * math.log(2.0),
+                              kkt_residual=math.inf, converged=False, n_iters=0)
     # Z' = V S U'; Z' reaches LAPACK without a copy, half the time at 100 x 27884
     V, sv, Ut = np.linalg.svd(Z.T, full_matrices=False)
     r = int((sv > sv.max(initial=0.0) * max(Z.shape) * np.finfo(np.float64).eps).sum())

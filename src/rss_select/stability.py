@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream,
+from .data import (Dataset, GridGeometry, Parcellation, RngStream, StabilityScores,
                    read_csv_rows)
 from .solver import SolverConfig, fit_l1_standardized, lockstep_batch_size, standardize_stack
 from .solver import fit_l1_logistic  # noqa: F401  perfbench traces this name here
@@ -303,7 +303,7 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
     k, for fits of ``entries`` floats each (k x q for rss, p for rand-l1):
     this loop alone decides how many fits share a kernel call.
     ``draw(gens)`` makes a batch's design, iteration k drawing from
-    ``derive_stream(master_seed, k)``; ``fit(design)`` hands the whole batch
+    ``RngStream(master_seed, k)``; ``fit(design)`` hands the whole batch
     to the solver, whose entry points only read it, in one lockstep kernel
     call and returns (selected feature indices, SolverSolution) for each.
     ``designs``, if given, maps (start, stop) to designs made so far and
@@ -324,7 +324,7 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
     def one(start):
         batch = (start, min(start + size, K))
         design = (designs or {}).get(batch) or draw(
-            [derive_stream(master_seed, k).generator() for k in range(*batch)])
+            [RngStream(master_seed, k).generator() for k in range(*batch)])
         if designs is not None:
             designs[batch] = design
         # keep no weight vector: K of them would hold K*p floats at once

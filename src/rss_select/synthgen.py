@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GridGeometry, derive_stream, read_csv_rows
+from .data import Dataset, GridGeometry, RngStream, read_csv_rows
 
 _N_CLUSTERS = 5
 _MAX_REJECTION_ROUNDS = 10**6
@@ -180,7 +180,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     npg = config.n_per_group
     n = 2 * npg
     sd = config.noise_sd
-    gen = derive_stream(config.seed, 0).generator()
+    gen = RngStream(config.seed, 0).generator()
     X = gen.normal(0.0, sd, size=(n, geometry.p))
 
     # clusters 1 and 2: cases shifted by the cluster number, controls pure noise

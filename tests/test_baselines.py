@@ -12,7 +12,7 @@ from rss_select.baselines import (
     randomized_l1,
     ttest_scores,
 )
-from rss_select.data import Dataset, derive_stream
+from rss_select.data import Dataset, RngStream
 from rss_select import baselines, solver
 from rss_select.solver import SolverConfig, fit_l1_logistic, standardize_columns
 from rss_select.stability import draw_row_subsample
@@ -119,6 +119,14 @@ def test_l1_scores_on_labels_of_one_class_raise():
         l1_weight_scores(ds, SolverConfig(loss_weight=1.0))
 
 
+def test_l2_scores_on_labels_of_one_class_raise():
+    """As for l1: the ridge fit of one class has no weights to score."""
+    rng = np.random.default_rng(8)
+    ds = _dataset(rng.normal(size=(10, 30)), np.ones(10, dtype=int))
+    with pytest.raises(RuntimeError, match="the l2 fit did not converge: the labels hold one class"):
+        l2_weight_scores(ds, 1.0)
+
+
 def test_l2_scores_vanish_under_huge_ridge():
     rng = np.random.default_rng(7)
     ds = _dataset(rng.normal(size=(12, 5)))
@@ -150,8 +158,8 @@ def _rl1_manual_counts(ds, config):
     """Re-derive randomized L1 counts from the documented draw order."""
     counts = np.zeros(ds.p, dtype=np.int64)
     for k in range(config.K):
-        gen = derive_stream(config.master_seed, k).generator()
-        rows = draw_row_subsample(ds.n, config.row_fraction, gen)
+        gen = RngStream(config.master_seed, k).generator()
+        rows = draw_row_subsample(ds.n, config.alpha, gen)
         scale = gen.uniform(config.weakness, 1.0, size=ds.p)
         sol = fit_l1_logistic(ds.X[rows], ds.y[rows], config.solver, column_scale=scale)
         counts[sol.support(config.solver.support_epsilon)] += 1
@@ -179,8 +187,8 @@ def test_randomized_l1_weakness_one_is_pure_row_subsampling():
 
     plain = np.zeros(ds.p, dtype=np.int64)
     for k in range(config.K):
-        gen = derive_stream(config.master_seed, k).generator()
-        rows = draw_row_subsample(ds.n, config.row_fraction, gen)
+        gen = RngStream(config.master_seed, k).generator()
+        rows = draw_row_subsample(ds.n, config.alpha, gen)
         gen.uniform(1.0, 1.0, size=ds.p)  # stream position, scaling is identity
         sol = fit_l1_logistic(ds.X[rows], ds.y[rows], solver)
         plain[sol.support(solver.support_epsilon)] += 1
@@ -266,8 +274,8 @@ def test_rand_l1_config_validation():
     solver = SolverConfig(loss_weight=0.5)
     with pytest.raises(ValueError, match="K"):
         RandL1Config(solver=solver, K=0)
-    with pytest.raises(ValueError, match="row_fraction"):
-        RandL1Config(solver=solver, row_fraction=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        RandL1Config(solver=solver, alpha=0.0)
     with pytest.raises(ValueError, match="weakness"):
         RandL1Config(solver=solver, weakness=1.0001)
     with pytest.raises(ValueError, match="threads"):

@@ -14,7 +14,7 @@ import pytest
 import rss_select
 from rss_select.cli import main
 from rss_select.data import Dataset, save_dataset
-from rss_select.stability import load_scores_csv
+from rss_select.stability import load_scores_csv, save_scores_csv
 
 SYNTH_FLAGS = ["--dims", "12x12x4", "--mask", "400", "--clusters", "10,10,8,8,8",
                "--n-per-group", "10", "--seed", "0"]
@@ -145,7 +145,7 @@ def test_select_rss_without_parcellation_fails(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", [["rss", "--alpha", "0.2"],
-                                    ["rand-l1", "--row-fraction", "0.2"]])
+                                    ["rand-l1", "--alpha", "0.2"]])
 def test_select_on_one_class_row_subsamples_fails_with_the_cause(tmp_path, capsys, method):
     """Six rows at a row fraction of 0.2 draw one row per fit, so every fit
     sees one class and has no finite intercept. Such fits are not converged,
@@ -167,19 +167,43 @@ def test_select_on_one_class_row_subsamples_fails_with_the_cause(tmp_path, capsy
     assert not (tmp_path / "sel" / "scores.csv").exists()
 
 
-def test_select_l1_on_labels_of_one_class_fails_with_the_cause(tmp_path, capsys):
-    """A single L1 fit on labels of one class has no finite intercept; the
-    run fails with an error that names it, instead of writing scores of 0."""
+@pytest.mark.parametrize("method", ["l1", "l2"])
+def test_select_single_fit_on_labels_of_one_class_fails_with_the_cause(tmp_path, capsys, method):
+    """A single L1 or ridge fit on labels of one class has no finite
+    intercept; the run fails with an error that names it, instead of
+    writing scores of 0 (l1) or of about 1e-22 (l2)."""
     rng = np.random.default_rng(3)
     data = tmp_path / "dataset"
     save_dataset(Dataset(X=rng.normal(size=(10, 30)), y=np.ones(10, dtype=int)), data)
-    code = main(["select", "--dataset", str(data), "--method", "l1",
+    code = main(["select", "--dataset", str(data), "--method", method,
                  "--out-dir", str(tmp_path / "sel")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "labels hold one class" in err
     assert "Traceback" not in err
     assert not (tmp_path / "sel" / "scores.csv").exists()
+
+
+def test_select_rand_l1_takes_its_row_fraction_from_alpha(workspace, tmp_path, capsys):
+    """--alpha is the row fraction of both count methods: rand-l1 at 0.3
+    draws other rows than at the default 0.5, and records the value it
+    used. The flag it replaced is gone."""
+    outs = []
+    for extra in ([], ["--alpha", "0.3"]):
+        out = tmp_path / f"alpha{len(extra)}"
+        assert main(["select", "--dataset", str(workspace["data"]), "--method", "rand-l1",
+                     "--K", "20", "--out-dir", str(out), *extra]) == 0
+        outs.append(out)
+    assert _sha(outs[0] / "scores.csv") != _sha(outs[1] / "scores.csv")
+    metas = [json.loads((out / "scores_meta.json").read_text()) for out in outs]
+    assert [meta["alpha"] for meta in metas] == [0.5, 0.3]
+    assert all("row_fraction" not in meta for meta in metas)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["select", "--dataset", str(workspace["data"]), "--method", "rand-l1",
+              "--row-fraction", "0.3", "--out-dir", str(tmp_path / "gone")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --row-fraction" in capsys.readouterr().err
 
 
 def test_select_threads_flag_never_changes_bytes(workspace, tmp_path):
@@ -264,6 +288,40 @@ def test_eval_accuracy_needs_both_train_and_test(workspace, tmp_path, capsys, gi
     ])
     assert code == 1
     assert "needs --train, --test and --tau" in capsys.readouterr().err
+    assert not (out / "accuracy.json").exists()
+
+
+def test_eval_accuracy_rejects_scores_of_another_dataset(workspace, tmp_path, capsys):
+    """Scores of a 200-voxel dataset do not index the 400 voxels of the
+    train and test containers: the accuracy path refuses them, as the
+    cross-validation path does."""
+    other = tmp_path / "other"
+    assert main(["synth", "--out-dir", str(other), "--dims", "8x8x4", "--mask", "200",
+                 "--clusters", "5,5,5,5,5", "--n-per-group", "10"]) == 0
+    assert main(["select", "--dataset", str(other / "dataset"), "--method", "ttest",
+                 "--out-dir", str(tmp_path / "sel")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "acc"
+    code = main(["eval", "--scores", str(tmp_path / "sel" / "scores.csv"),
+                 "--train", str(workspace["data"]), "--test", str(workspace["data"]),
+                 "--tau", "0", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: scores must align with dataset features\n"
+    assert not (out / "accuracy.json").exists()
+
+
+def test_eval_accuracy_rejects_training_labels_of_one_class(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "dataset"
+    save_dataset(Dataset(X=rng.normal(size=(10, 30)), y=np.ones(10, dtype=int)), data)
+    scores = tmp_path / "scores.csv"
+    save_scores_csv(scores, np.linspace(0.0, 1.0, 30))
+    out = tmp_path / "acc"
+    code = main(["eval", "--scores", str(scores), "--train", str(data), "--test", str(data),
+                 "--tau", "0.5", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "one class" in err and "Traceback" not in err
     assert not (out / "accuracy.json").exists()
 
 

@@ -11,7 +11,6 @@ from rss_select.data import (
     RngStream,
     SolverSolution,
     StabilityScores,
-    derive_stream,
     load_dataset,
     with_permuted_labels,
     save_dataset,
@@ -173,21 +172,21 @@ def test_load_rejects_declared_grid_without_mask(tmp_path):
 # ------------------------------------------------------------------ rng
 
 
-def test_derive_stream_is_deterministic():
-    a = derive_stream(42, 0).generator().bytes(32)
-    b = derive_stream(42, 0).generator().bytes(32)
+def test_rng_stream_is_deterministic():
+    a = RngStream(42, 0).generator().bytes(32)
+    b = RngStream(42, 0).generator().bytes(32)
     assert a == b
 
 
-def test_derive_stream_separates_stream_ids():
-    a = derive_stream(42, 0).generator().bytes(32)
-    b = derive_stream(42, 1).generator().bytes(32)
+def test_rng_stream_separates_stream_ids():
+    a = RngStream(42, 0).generator().bytes(32)
+    b = RngStream(42, 1).generator().bytes(32)
     assert a != b
 
 
-def test_derive_stream_golden_bytes():
+def test_rng_stream_golden_bytes():
     """Regression pin so any platform or library drift is caught loudly."""
-    got = derive_stream(42, 7).generator().bytes(16).hex()
+    got = RngStream(42, 7).generator().bytes(16).hex()
     assert got == "e402a59aac7d6700c4f41a583efabe17", got
 
 

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rss_select import solver, stability
-from rss_select.data import Dataset, GridGeometry, Parcellation, StabilityScores, derive_stream
+from rss_select.data import Dataset, GridGeometry, Parcellation, RngStream, StabilityScores
 from rss_select.baselines import RandL1Config, randomized_l1, ttest_scores
 from rss_select.evaluation import (
     PermutationReport,
@@ -204,6 +204,15 @@ def test_prediction_accuracy_hand_boundary():
     assert prediction_accuracy(train, half, {0, 1}) == 0.5
 
 
+def test_prediction_accuracy_rejects_training_labels_of_one_class():
+    """No finite intercept fits one class, so there is no model to test;
+    before, the fit's margins all predicted that class."""
+    X = np.random.default_rng(5).normal(size=(10, 4))
+    train = Dataset(X=X, y=np.ones(10, dtype=int))
+    with pytest.raises(ValueError, match="training labels hold one class"):
+        prediction_accuracy(train, train, {0, 1})
+
+
 def test_prediction_accuracy_rejects_empty_features():
     ds, _ = _planted_cv_dataset(seed=4)
     with pytest.raises(ValueError, match="empty"):
@@ -270,7 +279,7 @@ def _one_by_one(dataset, selector, tau, B, seed):
     observed = threshold_scores(selector(dataset), tau).size
     counts = []
     for b in range(1, B + 1):
-        gen = derive_stream(seed, b).generator()
+        gen = RngStream(seed, b).generator()
         permuted = Dataset(X=dataset.X, y=dataset.y[gen.permutation(dataset.n)],
                            geometry=dataset.geometry)
         counts.append(threshold_scores(selector(permuted), tau).size)

@@ -248,6 +248,18 @@ def test_l2_all_zero_matrix():
     assert abs(sol.c) <= 1e-8
 
 
+def test_l2_on_labels_of_one_class_is_never_fitted():
+    """Labels of one class have no finite intercept: the ridge fit stops
+    before its first iteration, not converged, with residual inf, as an L1
+    fit does, instead of reporting the vanishing gradient of an intercept
+    running off as convergence."""
+    X = np.random.default_rng(3).normal(size=(10, 30))
+    for label in (1, -1):
+        sol = fit_l2_logistic(X, np.full(10, label), 1.0)
+        assert (sol.converged, sol.kkt_residual, sol.n_iters) == (False, math.inf, 0)
+        assert not sol.w.any() and sol.c == 0.0
+
+
 def test_l2_matches_gradient_descent_oracle():
     X = np.array([[1.0, 0.2], [2.0, -0.1], [-1.5, 0.3],
                   [-0.5, -0.4], [1.2, 0.9], [-2.0, -0.7]])
@@ -324,7 +336,10 @@ def test_implicit_gradient_matches_explicit_columns():
     """The screen's Z'g must equal the product with the built columns, also
     away from the intercept optimum where sum(g) is far from 0, on a column
     whose mean is far larger than its std, and on constant columns, one of
-    them with a std that rounds to a tiny positive value."""
+    them with a std that rounds to a tiny positive value. The columns are
+    built from the fit's own statistics, which
+    test_implicit_statistics_match_two_pass_statistics_on_every_row_set ties
+    to the two-pass ones."""
     rng = np.random.default_rng(13)
     X = rng.normal(size=(30, 50)) * rng.uniform(0.5, 3.0, size=50) + 20.0 * rng.normal(size=50)
     X[:, 7] = 4.2  # mean of 30 copies rounds, so std is about 1e-15, not 0
@@ -335,7 +350,8 @@ def test_implicit_gradient_matches_explicit_columns():
     assert cols.std[0, 7] > 0.0 and cols.exact[0].tolist() == [9]
     mean, std = X.mean(axis=0), X.std(axis=0)
     keep = std > 30 * np.finfo(np.float64).eps * np.abs(mean)
-    assert keep.sum() == 48
+    assert keep.sum() == 48 and (cols.keep[0] == keep).all()
+    mean, std = cols.mean[0], cols.std[0]
     Z = np.zeros_like(X)
     Z[:, keep] = ((X[:, keep] - mean[keep]) / std[keep]) * scale[keep]
     np.testing.assert_array_equal(cols.columns(0, np.flatnonzero(keep)), Z[:, keep])
@@ -624,6 +640,38 @@ def test_subsample_stats_match_two_pass_statistics():
         np.testing.assert_allclose(std[b, want_keep], want_std[want_keep], rtol=1e-9)
     assert not keep[:, 11].any() and not keep[0, 12] and not keep[1, 13]
     assert keep[1:, 12].all() and keep[[0, 2, 3], 13].all()
+
+
+def test_implicit_statistics_match_two_pass_statistics_on_every_row_set(monkeypatch):
+    """The implicit columns' statistics of any row set, all rows included,
+    are the two-pass statistics of its rows within 1e-14, with the same
+    constant columns: on ordinary columns, a constant one, one whose mean
+    is 1e8 times its std, and one whose outlier row makes the subsamples
+    without it cancel, so that their statistics are recomputed."""
+    rng = np.random.default_rng(21)
+    n = 24
+    X = rng.normal(size=(n, 40)) * rng.uniform(0.5, 3.0, size=40) + 20.0 * rng.normal(size=40)
+    X[:, 5] = 4.2
+    X[:, 6] = 1e5 + 1e-3 * rng.normal(size=n)
+    X[0, 7] = 1e6
+    recomputed = []
+
+    def spy(M):
+        recomputed.append(M.shape)
+        return column_stats(M)
+
+    column_stats = solver._column_stats
+    monkeypatch.setattr(solver, "_column_stats", spy)
+    for k in (n, n - 1, n // 2, 3):
+        rows = np.sort(np.stack([rng.choice(n, size=k, replace=False) for _ in range(3)]), axis=1)
+        cols = solver._ImplicitColumns(X, rows, np.ones((3, 40)))
+        for b in range(3):
+            mean, std, keep = column_stats(X[rows[b]])
+            np.testing.assert_array_equal(cols.keep[b], keep)
+            np.testing.assert_allclose(cols.mean[b], mean, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(cols.std[b, keep], std[keep], rtol=1e-14, atol=0)
+        assert not cols.keep[:, 5].any() and cols.keep[:, 6].all()
+    assert recomputed and all(shape[1] < 40 for shape in recomputed)
 
 
 def test_wide_batch_matches_single_fits():

@@ -16,7 +16,6 @@ from rss_select.data import (
     Parcellation,
     RngStream,
     StabilityScores,
-    derive_stream,
 )
 from rss_select import solver, stability
 from rss_select.solver import SolverConfig, fit_l1_logistic
@@ -293,7 +292,7 @@ def test_quota_trim_picks_uniform_subsets(fallback):
     subsets = {s: i for i, s in enumerate(itertools.combinations(members[0].tolist(), 2))}
     freq = np.zeros(len(subsets))
     for k in range(5000):
-        gen = derive_stream(21, k).generator()
+        gen = RngStream(21, k).generator()
         if fallback:
             got = _by_cluster(draw_iteration(gen, 4, 0.5, parc, quotas)[1], quotas)
             assert np.isin(got[1], members[1]).all()
@@ -533,7 +532,7 @@ def test_draw_iteration_replays_deterministically():
     cover = BlockCover(ds.geometry, config.block_shape)
     for k in range(3):
         (rows_a, picks_a), (rows_b, picks_b) = (
-            draw_iteration(derive_stream(config.master_seed, k).generator(), ds.n,
+            draw_iteration(RngStream(config.master_seed, k).generator(), ds.n,
                            config.alpha, parc, quotas, cover)
             for _ in range(2))
         assert_array_equal(rows_a, rows_b)
@@ -550,7 +549,7 @@ def _rss_manual_counts(ds, parc, config):
     quotas = cluster_quotas(parc, config.beta)
     counts = np.zeros(ds.p, dtype=np.int64)
     for k in range(config.K):
-        gen = derive_stream(config.master_seed, k).generator()
+        gen = RngStream(config.master_seed, k).generator()
         rows, picks = draw_iteration(gen, ds.n, config.alpha, parc, quotas, cover)
         averaged = average_supervoxels(ds.X[rows], picks, quotas)
         sol = fit_l1_logistic(averaged, ds.y[rows], config.solver)
