@@ -1,9 +1,11 @@
 """Command-line front end: synth, cluster, select, eval, perm.
 
-Every command writes its outputs plus a manifest (resolved arguments, input
-and output checksums, seed, duration) into --out-dir. Rerunning a command
-with the same arguments reproduces every output byte for byte; manifests
-record wall-clock fields and are the one exception.
+Each ``cmd_*`` writes its outputs into --out-dir and returns its input
+checksums, its output paths and a summary line; ``main`` then writes the
+command's manifest (resolved arguments, input and output checksums, seed,
+duration) beside them. Rerunning a command with the same arguments
+reproduces every output byte for byte; manifests record wall-clock fields
+and are the one exception.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .clustering import (
     kmeans,
     load_parcellation,
     save_parcellation,
-    within_cluster_ss,
 )
 from .data import RngStream, load_dataset, save_dataset, sha256_file
 from .evaluation import (
@@ -90,39 +91,7 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
-def _write_manifest(out_dir, command, args, inputs, outputs, started, t0):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "started_utc": started,
-        "duration_seconds": round(time.monotonic() - t0, 3),
-        "args": {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "func"},
-        "inputs": inputs,
-        "outputs": {str(p): sha256_file(p) for p in outputs},
-    }
-    _write_json(Path(out_dir) / f"manifest_{command}.json", manifest)
-
-
-def _start(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, datetime.now(timezone.utc).isoformat(), time.monotonic()
-
-
-def cmd_synth(args):
-    out_dir, started, t0 = _start(args)
+def cmd_synth(args, out_dir):
     config = SynthConfig(
         dims=_parse_triple(args.dims, "--dims"),
         mask_size=args.mask_size,
@@ -138,13 +107,10 @@ def cmd_synth(args):
     truth_path = out_dir / "ground_truth.csv"
     save_ground_truth(truth, truth_path)
     outputs = [container / "manifest.json", container / "X.bin", container / "mask.bin", truth_path]
-    _write_manifest(out_dir, "synth", args, {}, outputs, started, t0)
-    print(f"wrote {container} (n={dataset.n}, p={dataset.p}) and {truth_path}")
-    return 0
+    return {}, outputs, f"wrote {container} (n={dataset.n}, p={dataset.p}) and {truth_path}"
 
 
-def cmd_cluster(args):
-    out_dir, started, t0 = _start(args)
+def cmd_cluster(args, out_dir):
     dataset = load_dataset(args.dataset)
     if not (2 * dataset.n <= args.q <= 5 * dataset.n):
         print(
@@ -167,30 +133,27 @@ def cmd_cluster(args):
         "restarts": args.restarts,
         "max_lloyd_iters": args.max_lloyd_iters,
         "spatial_weight": args.spatial_weight,
-        "inertia": within_cluster_ss(vectors, parcellation),
+        "inertia": min(r["wcss"] for r in parcellation.lloyd_restarts),
         "lloyd": list(parcellation.lloyd_restarts),
         "dataset": str(args.dataset),
     })
     outputs = [parc_path, parc_path.with_suffix(".json")]
-    _write_manifest(out_dir, "cluster", args, _dataset_checksums(args.dataset), outputs, started, t0)
-    print(f"wrote {parc_path} (q={parcellation.q})")
-    return 0
+    return _dataset_checksums(args.dataset), outputs, f"wrote {parc_path} (q={parcellation.q})"
 
 
 def _solver_config(args):
     return SolverConfig(loss_weight=args.loss_weight)
 
 
-def _build_count_selector(args, dataset):
+def _build_count_selector(args):
     """Configured rss / rand-l1 scorer plus its metadata, for select and perm."""
     if args.method == "rss":
         if not args.parcellation:
             raise ValueError("method rss requires --parcellation")
         parcellation = load_parcellation(args.parcellation)
-        resamplings = args.K if args.K is not None else 50
         config = StabilityConfig(
             solver=_solver_config(args),
-            K=resamplings,
+            K=StabilityConfig.K if args.K is None else args.K,
             alpha=args.alpha,
             beta=args.beta,
             block_shape=_parse_triple(args.block, "--block"),
@@ -208,10 +171,9 @@ def _build_count_selector(args, dataset):
             "parcellation_checksum": parcellation.checksum(),
         }
         return (lambda d: run_stability_selection(d, parcellation, config, threads=args.threads)), meta
-    resamplings = args.K if args.K is not None else 500
     config = RandL1Config(
         solver=_solver_config(args),
-        K=resamplings,
+        K=RandL1Config.K if args.K is None else args.K,
         alpha=args.alpha,
         weakness=args.weakness,
         master_seed=args.seed,
@@ -227,12 +189,11 @@ def _build_count_selector(args, dataset):
     return (lambda d: randomized_l1(d, config, threads=args.threads)), meta
 
 
-def cmd_select(args):
-    out_dir, started, t0 = _start(args)
+def cmd_select(args, out_dir):
     dataset = load_dataset(args.dataset)
     counts = None
     if args.method in _COUNT_METHODS:
-        selector, meta = _build_count_selector(args, dataset)
+        selector, meta = _build_count_selector(args)
         scores = selector(dataset)
         counts = scores.counts
         values = scores.normalized
@@ -251,14 +212,19 @@ def cmd_select(args):
     save_scores_csv(scores_path, values, counts=counts, geometry=dataset.geometry)
     meta_path = out_dir / "scores_meta.json"
     _write_json(meta_path, meta)
-    _write_manifest(out_dir, "select", args, _dataset_checksums(args.dataset),
-                    [scores_path, meta_path], started, t0)
-    print(f"wrote {scores_path} ({args.method}, p={dataset.p})")
-    return 0
+    return (_dataset_checksums(args.dataset), [scores_path, meta_path],
+            f"wrote {scores_path} ({args.method}, p={dataset.p})")
 
 
-def cmd_eval(args):
-    out_dir, started, t0 = _start(args)
+def cmd_eval(args, out_dir):
+    if args.top_t is not None and not args.truth:
+        raise ValueError("--top-t needs --truth")
+    accuracy = args.train or args.test or args.tau is not None
+    if accuracy and not (args.train and args.test and args.tau is not None):
+        raise ValueError("accuracy evaluation needs --train, --test and --tau")
+    if args.grid is not None and not args.cv_train:
+        raise ValueError("--grid needs --cv-train")
+    grid = DEFAULT_THRESHOLD_GRID if args.grid is None else _parse_float_list(args.grid)
     loaded = load_scores_csv(args.scores)
     values = loaded["score"]
     inputs = {str(args.scores): sha256_file(args.scores)}
@@ -283,9 +249,7 @@ def cmd_eval(args):
             "n_truth": int(truth.features.size),
         })
         outputs += [pr_path, summary_path]
-    if args.train or args.test:
-        if not (args.train and args.test and args.tau is not None):
-            raise ValueError("accuracy evaluation needs --train, --test and --tau")
+    if accuracy:
         train = load_dataset(args.train)
         test = load_dataset(args.test)
         inputs.update(_dataset_checksums(args.train))
@@ -307,7 +271,6 @@ def cmd_eval(args):
     if args.cv_train:
         train = load_dataset(args.cv_train)
         inputs.update(_dataset_checksums(args.cv_train))
-        grid = _parse_float_list(args.grid) if args.grid else DEFAULT_THRESHOLD_GRID
         chosen = cv_threshold(train, values, grid=grid, n_folds=args.folds,
                               lambda_ridge=args.lambda_ridge, seed=args.seed)
         cv_path = out_dir / "cv_threshold.json"
@@ -321,15 +284,12 @@ def cmd_eval(args):
         outputs.append(cv_path)
     if not outputs:
         raise ValueError("eval needs --truth, --train/--test/--tau, or --cv-train")
-    _write_manifest(out_dir, "eval", args, inputs, outputs, started, t0)
-    print(f"wrote {', '.join(str(p) for p in outputs)}")
-    return 0
+    return inputs, outputs, f"wrote {', '.join(str(p) for p in outputs)}"
 
 
-def cmd_perm(args):
-    out_dir, started, t0 = _start(args)
+def cmd_perm(args, out_dir):
     dataset = load_dataset(args.dataset)
-    selector, meta = _build_count_selector(args, dataset)
+    selector, meta = _build_count_selector(args)
     report = permutation_fp_estimate(dataset, selector, args.tau, args.replicates,
                                      seed=args.perm_seed)
     report_path = out_dir / "permutation_report.json"
@@ -342,18 +302,17 @@ def cmd_perm(args):
         "selector": meta,
         "perm_seed": args.perm_seed,
     })
-    _write_manifest(out_dir, "perm", args, _dataset_checksums(args.dataset),
-                    [report_path], started, t0)
-    print(f"wrote {report_path} (observed={report.observed_count}, "
-          f"permuted mean={report.estimate:.2f})")
-    return 0
+    return (_dataset_checksums(args.dataset), [report_path],
+            f"wrote {report_path} (observed={report.observed_count}, "
+            f"permuted mean={report.estimate:.2f})")
 
 
-def _add_selector_flags(sub):
-    sub.add_argument("--method", required=True, choices=_ALL_METHODS)
+def _add_selector_flags(sub, methods):
+    sub.add_argument("--method", required=True, choices=methods)
     sub.add_argument("--parcellation", help="parcellation CSV (required for rss)")
     sub.add_argument("--K", dest="K", type=int, default=None,
-                     help="resampling iterations; defaults to 50 for rss, 500 for rand-l1")
+                     help=f"resampling iterations; defaults to {StabilityConfig.K} for rss, "
+                          f"{RandL1Config.K} for rand-l1")
     sub.add_argument("--alpha", type=float, default=0.5,
                      help="row fraction per iteration (rss and rand-l1)")
     sub.add_argument("--beta", type=float, default=0.1, help="per-cluster feature fraction")
@@ -403,7 +362,7 @@ def build_parser():
     select.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
     select.add_argument("--lambda-ridge", type=float, default=1.0,
                         help="ridge strength for method l2")
-    _add_selector_flags(select)
+    _add_selector_flags(select, _ALL_METHODS)
     select.set_defaults(func=cmd_select)
 
     evalp = subs.add_parser("eval", help="evaluate scores against truth or held-out data")
@@ -431,21 +390,32 @@ def build_parser():
     perm.add_argument("--seed", type=int, default=0, help="seed for the selector itself")
     perm.add_argument("--perm-seed", type=int, default=0, help="seed for label permutations")
     perm.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
-    _add_selector_flags(perm)
+    _add_selector_flags(perm, _COUNT_METHODS)
     perm.set_defaults(func=cmd_perm)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "perm" and args.method not in _COUNT_METHODS:
-        parser.error("perm supports count-based methods only: rss, rand-l1")
+    args = build_parser().parse_args(argv)
+    out_dir = Path(args.out_dir)
     try:
-        return args.func(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        started, t0 = datetime.now(timezone.utc).isoformat(), time.monotonic()
+        inputs, outputs, message = args.func(args, out_dir)
+        _write_json(out_dir / f"manifest_{args.command}.json", {
+            "command": args.command,
+            "version": __version__,
+            "started_utc": started,
+            "duration_seconds": round(time.monotonic() - t0, 3),
+            "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+            "inputs": inputs,
+            "outputs": {str(p): sha256_file(p) for p in outputs},
+        })
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,18 +1,23 @@
 """End-to-end command-line tests on a scaled-down synthetic instance."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rss_select
-from rss_select.cli import main
+from rss_select.cli import build_parser, main
 from rss_select.data import Dataset, save_dataset
 from rss_select.stability import load_scores_csv, save_scores_csv
 
@@ -99,7 +104,7 @@ def test_cluster_rerun_is_deterministic_and_warns_on_odd_q(workspace, tmp_path, 
         assert sorted(record) == ["converged", "iterations", "wcss"]
         assert 1 <= record["iterations"] <= 300
         assert record["converged"] == (record["iterations"] < 300)
-    assert min(r["wcss"] for r in sidecar["lloyd"]) == pytest.approx(sidecar["inertia"], rel=1e-9)
+    assert sidecar["inertia"] == min(r["wcss"] for r in sidecar["lloyd"])
     capsys.readouterr()
 
     # n=20 makes the suggested q range [40, 100]; q=5 is outside it
@@ -270,6 +275,24 @@ def test_eval_cv_threshold(workspace, tmp_path):
     assert report["n_folds"] == 4
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--truth", "{truth}", "--tau", "0.3"], "needs --train, --test and --tau"),
+    (["--cv-train", "{data}", "--top-t", "3"], "--top-t needs --truth"),
+    (["--truth", "{truth}", "--grid", "0.3,0.5"], "--grid needs --cv-train"),
+    (["--cv-train", "{data}", "--grid", ""], "could not convert string to float"),
+])
+def test_eval_refuses_a_flag_it_would_ignore(workspace, tmp_path, capsys, flags, message):
+    """A flag of a mode that is not selected, or an empty grid, is an error
+    before anything is written, not a run that drops the flag."""
+    out = tmp_path / "eval"
+    code = main(["eval", "--scores", str(workspace["rss_scores"]), "--out-dir", str(out),
+                 *(f.format(**workspace) for f in flags)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not any(out.iterdir())
+
+
 def test_eval_with_no_mode_selected_fails(workspace, tmp_path, capsys):
     code = main([
         "eval", "--scores", str(workspace["rss_scores"]),
@@ -351,6 +374,38 @@ def test_eval_on_a_truncated_scores_file_fails_without_a_traceback(workspace, tm
     assert "Traceback" not in proc.stderr
 
 
+def _assert_one_manifest(out_dir, command):
+    """The out-dir holds one manifest, of ``command``, whose every input
+    and output exists with the recorded checksum; returns the manifest."""
+    assert sorted(p.name for p in out_dir.glob("manifest_*.json")) == [f"manifest_{command}.json"]
+    manifest = json.loads((out_dir / f"manifest_{command}.json").read_text())
+    assert manifest["command"] == command and manifest["outputs"]
+    for path, checksum in {**manifest["inputs"], **manifest["outputs"]}.items():
+        assert _sha(Path(path)) == checksum
+    return manifest
+
+
+def test_every_command_writes_one_manifest_of_its_arguments(workspace, tmp_path):
+    data, parcellation = str(workspace["data"]), str(workspace["parcellation"])
+    runs = {
+        "synth": [*SYNTH_FLAGS],
+        "cluster": ["--dataset", data, "--q", "40", "--seed", "1", "--restarts", "2"],
+        "select": ["--dataset", data, "--method", "rss", "--parcellation", parcellation,
+                   "--K", "5"],
+        "eval": ["--scores", str(workspace["rss_scores"]), "--truth", str(workspace["truth"])],
+        "perm": ["--dataset", data, "--method", "rand-l1", "--K", "4", "--tau", "0.4",
+                 "--replicates", "2"],
+    }
+    for command, flags in runs.items():
+        argv = [command, *flags, "--out-dir", str(tmp_path / command)]
+        assert main(argv) == 0
+        manifest = _assert_one_manifest(tmp_path / command, command)
+        parsed = vars(build_parser().parse_args(argv))
+        del parsed["func"]
+        assert manifest["args"] == parsed
+        assert bool(manifest["inputs"]) == (command != "synth")
+
+
 def test_perm_writes_false_positive_report(workspace, tmp_path):
     out = tmp_path / "perm"
     assert main([
@@ -367,13 +422,154 @@ def test_perm_writes_false_positive_report(workspace, tmp_path):
     assert report["selector"]["method"] == "rss"
 
 
-def test_perm_rejects_score_only_methods(workspace, tmp_path):
+def test_perm_rejects_score_only_methods(workspace, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([
             "perm", "--dataset", str(workspace["data"]), "--method", "ttest",
             "--tau", "0.4", "--out-dir", str(tmp_path / "bad"),
         ])
     assert exc.value.code == 2
+    choices = capsys.readouterr().err.splitlines()[-1].split("choose from", 1)[1]
+    assert "rss" in choices and "rand-l1" in choices
+
+
+# The property test over main: tiny instances, and flag values mostly inside
+# the ranges the commands accept, with values on the far side of each. One
+# argv in ten ends in a flag that no command has, so that argparse exits 2.
+_TINY = ["--dims", "6x6x4", "--mask", "80", "--clusters", "2,2,2,2,2", "--n-per-group", "6"]
+
+
+def _one(*values):
+    return st.sampled_from(values)
+
+
+def _flag(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _maybe(flag, values):
+    """No flag, or ``flag`` with a drawn value."""
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _argv(tiny):
+    """argv for one of the five commands, without --out-dir."""
+    data, parcellation = tiny["data"], tiny["parcellation"]
+    fractions = _one("0.2", "0.5", "0.8", "1", "0", "nan")
+    seeds = _one("0", "1", "2")
+    taus = _one("0", "0.1", "0.5", "1", "-1", "nan")
+    count_flags = [
+        _maybe("--alpha", fractions), _maybe("--beta", fractions),
+        _maybe("--weakness", fractions),
+        _maybe("--block", _one("1x1x1", "2x2x2", "3x1x2", "0x1x1", "2x2")),
+        _maybe("--threads", _one("1", "2", "3", "0")), _maybe("--seed", seeds),
+    ]
+    synth = st.tuples(
+        st.just(["synth"]),
+        _flag("--dims", _one("6x6x4", "5x5x4", "8x4x4", "4x4x4", "6x6")),
+        _flag("--mask", _one("80", "60", "40", "0")),
+        _flag("--clusters", _one("2,2,2,2,2", "1,2,1,1,1", "3,2,2,2,2", "2,1,2,2,2",
+                                 "0,2,2,2,2", "2,2,3,2,2")),
+        _flag("--n-per-group", _one("6", "3", "8", "0")),
+        _maybe("--noise-sd", _one("1", "0.5", "0", "-1", "nan")), _maybe("--seed", seeds),
+    )
+    cluster = st.tuples(
+        st.just(["cluster", "--dataset", data]),
+        _flag("--q", _one("24", "12", "40", "30", "0", "100")),
+        _maybe("--restarts", _one("1", "2", "3", "0")),
+        _maybe("--max-lloyd-iters", _one("1", "5", "20", "0")),
+        _maybe("--spatial-weight", _one("0", "0.5", "2", "-1", "nan")), _maybe("--seed", seeds),
+    )
+    select = st.tuples(
+        st.just(["select", "--dataset", data]),
+        _flag("--method", _one("rss", "rand-l1", "l1", "l2", "ttest")),
+        _flag("--K", _one("1", "3", "6", "0")), _maybe("--parcellation", st.just(parcellation)),
+        _maybe("--lambda-ridge", _one("1", "0.1", "0", "-1")), *count_flags,
+    )
+    datasets = _one(data, tiny["data2"])
+    modes = [
+        st.tuples(st.just(["--truth", tiny["truth"]]),
+                  _maybe("--top-t", _one("1", "10", "80", "0", "81"))),
+        st.tuples(_flag("--train", datasets), _flag("--test", datasets), _flag("--tau", taus)),
+        st.tuples(st.just(["--cv-train", data]), _maybe("--folds", _one("2", "3", "5", "0")),
+                  _maybe("--grid", _one("0.1,0.2", "0.5", "0,0.3,0.9", "", "a"))),
+    ]
+    evaluate = st.tuples(
+        st.just(["eval", "--scores", tiny["scores"]]),
+        *(st.one_of(st.just([]), mode.map(_join)) for mode in modes),
+        _one([], [], [], ["--top-t", "5"], ["--test", data], ["--tau", "0.1"], ["--grid", "0.5"]),
+        _maybe("--lambda-ridge", _one("1", "0.1", "0", "-1")), _maybe("--seed", seeds),
+    )
+    perm = st.tuples(
+        st.just(["perm", "--dataset", data]),
+        _flag("--method", _one("rss", "rand-l1", "ttest")), _flag("--K", _one("1", "2", "4", "0")),
+        st.just(["--parcellation", parcellation]),
+        _flag("--tau", taus), _flag("--replicates", _one("1", "2", "3", "0")),
+        _maybe("--perm-seed", seeds), *count_flags,
+    )
+    unknown = st.integers(0, 9).map(lambda i: ["--no-such-flag"] if i == 5 else [])
+    return st.tuples(st.one_of(synth, cluster, select, evaluate, perm), unknown).map(
+        lambda drawn: _join((*drawn[0], drawn[1])))
+
+
+def _join(parts):
+    return [token for part in parts for token in part]
+
+
+def _call(argv):
+    """(exit status, stderr) of main(argv); a usage error is status 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and not p.name.startswith("manifest_")}
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """An 80-voxel, 12-row instance with a held-out twin, a parcellation and
+    ttest scores."""
+    root = tmp_path_factory.mktemp("tiny")
+    data = str(root / "data" / "dataset")
+    for argv in (["synth", "--out-dir", str(root / "data"), *_TINY],
+                 ["synth", "--out-dir", str(root / "data2"), *_TINY, "--seed", "7"],
+                 ["cluster", "--dataset", data, "--q", "24", "--out-dir", str(root / "parc")],
+                 ["select", "--dataset", data, "--method", "ttest", "--out-dir", str(root / "sel")]):
+        assert _call(argv)[0] == 0
+    return {"root": root, "data": data, "data2": str(root / "data2" / "dataset"),
+            "truth": str(root / "data" / "ground_truth.csv"),
+            "parcellation": str(root / "parc" / "parcellation.csv"),
+            "scores": str(root / "sel" / "scores.csv")}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_main_writes_a_manifest_or_fails_with_an_error_line(tiny, data):
+    """Any argv either succeeds, leaving one manifest whose checksums hold
+    and outputs that a rerun reproduces byte for byte; or fails with exit
+    status 1, an error line and no manifest; or is a usage error (2). No
+    exception escapes main."""
+    argv = data.draw(_argv(tiny))
+    with tempfile.TemporaryDirectory(dir=tiny["root"]) as scratch:
+        first, second = Path(scratch, "first"), Path(scratch, "second")
+        code, err = _call([*argv, "--out-dir", str(first)])
+        assert "Traceback" not in err
+        if code == 0:
+            _assert_one_manifest(first, argv[0])
+            assert _call([*argv, "--out-dir", str(second)])[0] == 0
+            assert _files(first) == _files(second)
+        elif code == 1:
+            assert err.splitlines()[-1].startswith("error: ")
+            assert not list(first.glob("manifest_*.json"))
+        else:
+            assert code == 2 and "usage: rss" in err
 
 
 def test_version_flag_exits_cleanly():
