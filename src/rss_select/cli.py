@@ -2,10 +2,12 @@
 
 Each ``cmd_*`` writes its outputs into --out-dir and returns its input
 checksums, its output paths and a summary line; ``main`` then writes the
-command's manifest (resolved arguments, input and output checksums, seed,
-duration) beside them. Rerunning a command with the same arguments
-reproduces every output byte for byte; manifests record wall-clock fields
-and are the one exception.
+command's manifest (parsed arguments, input and output checksums, seed,
+duration) beside them. A selector flag of select and perm that is not
+given is None there: the command takes its method's default, and refuses
+a given flag that its method does not read. Rerunning a command with the
+same arguments reproduces every output byte for byte; manifests record
+wall-clock fields and are the one exception.
 """
 
 from __future__ import annotations
@@ -53,8 +55,31 @@ from .stability import (
 )
 from .synthgen import SynthConfig, generate_synthetic, load_ground_truth, save_ground_truth
 
+# the selector flags, by argparse dest: type and help, then the defaults of
+# the methods that read each. The parser defaults them all to None, so that
+# a flag given to a method that does not read it is refused
+_SELECTOR_FLAGS = {
+    "parcellation": (str, "parcellation CSV, required"),
+    "K": (int, "resampling iterations"),
+    "alpha": (float, "row fraction per iteration"),
+    "beta": (float, "per-cluster feature fraction"),
+    "block": (str, "block shape AxBxC"),
+    "loss_weight": (float, "weight on the logistic loss in the L1 objective"),
+    "weakness": (float, "lower bound of the penalty jitter, in (0, 1]"),
+    "lambda_ridge": (float, "ridge strength"),
+}
+_SELECTOR_DEFAULTS = {
+    "rss": {"parcellation": None, "K": StabilityConfig.K, "alpha": StabilityConfig.alpha,
+            "beta": StabilityConfig.beta, "block": "x".join(map(str, StabilityConfig.block_shape)),
+            "loss_weight": DEFAULT_LOSS_WEIGHT},
+    "rand-l1": {"K": RandL1Config.K, "alpha": RandL1Config.alpha,
+                "weakness": RandL1Config.weakness, "loss_weight": DEFAULT_LOSS_WEIGHT},
+    "l1": {"loss_weight": DEFAULT_LOSS_WEIGHT},
+    "l2": {"lambda_ridge": 1.0},
+    "ttest": {},
+}
 _COUNT_METHODS = ("rss", "rand-l1")
-_ALL_METHODS = ("rss", "rand-l1", "l1", "l2", "ttest")
+_ALL_METHODS = tuple(_SELECTOR_DEFAULTS)
 _THREADS_HELP = ("run the batches of resampled fits of rss and rand-l1 on N threads; a "
                  "batch is one lockstep solver call of up to 64 fits, so an rss run of "
                  "K=50 is one batch that no N splits; outputs are identical for any N")
@@ -141,68 +166,59 @@ def cmd_cluster(args, out_dir):
     return _dataset_checksums(args.dataset), outputs, f"wrote {parc_path} (q={parcellation.q})"
 
 
-def _solver_config(args):
-    return SolverConfig(loss_weight=args.loss_weight)
+def _selector_settings(args):
+    """The selector flags that ``args.method`` reads, by dest: each given
+    value, else its default. A selector flag given to a method that does
+    not read it is an error, so that no run records a flag that did not
+    act."""
+    reads = _SELECTOR_DEFAULTS[args.method]
+    unread = [d for d in _SELECTOR_FLAGS if d not in reads and getattr(args, d, None) is not None]
+    if unread:
+        raise ValueError(f"method {args.method} does not read "
+                         + ", ".join("--" + d.replace("_", "-") for d in unread))
+    return {d: default if getattr(args, d) is None else getattr(args, d)
+            for d, default in reads.items()}
 
 
-def _build_count_selector(args):
+def _build_count_selector(args, settings):
     """Configured rss / rand-l1 scorer plus its metadata, for select and perm."""
+    solver = SolverConfig(loss_weight=settings["loss_weight"])
+    meta = {"method": args.method, "master_seed": args.seed,
+            **{d: settings[d] for d in ("K", "alpha", "beta", "weakness", "loss_weight")
+               if d in settings}}
     if args.method == "rss":
-        if not args.parcellation:
+        if args.parcellation is None:
             raise ValueError("method rss requires --parcellation")
         parcellation = load_parcellation(args.parcellation)
-        config = StabilityConfig(
-            solver=_solver_config(args),
-            K=StabilityConfig.K if args.K is None else args.K,
-            alpha=args.alpha,
-            beta=args.beta,
-            block_shape=_parse_triple(args.block, "--block"),
-            master_seed=args.seed,
-        )
-        meta = {
-            "method": "rss",
-            "K": config.K,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "block_shape": list(config.block_shape),
-            "loss_weight": args.loss_weight,
-            "master_seed": args.seed,
-            "parcellation": str(args.parcellation),
-            "parcellation_checksum": parcellation.checksum(),
-        }
+        config = StabilityConfig(solver=solver, K=settings["K"], alpha=settings["alpha"],
+                                 beta=settings["beta"],
+                                 block_shape=_parse_triple(settings["block"], "--block"),
+                                 master_seed=args.seed)
+        meta.update(block_shape=list(config.block_shape), parcellation=str(args.parcellation),
+                    parcellation_checksum=parcellation.checksum())
         return (lambda d: run_stability_selection(d, parcellation, config, threads=args.threads)), meta
-    config = RandL1Config(
-        solver=_solver_config(args),
-        K=RandL1Config.K if args.K is None else args.K,
-        alpha=args.alpha,
-        weakness=args.weakness,
-        master_seed=args.seed,
-    )
-    meta = {
-        "method": "rand-l1",
-        "K": config.K,
-        "alpha": config.alpha,
-        "weakness": config.weakness,
-        "loss_weight": args.loss_weight,
-        "master_seed": args.seed,
-    }
+    config = RandL1Config(solver=solver, K=settings["K"], alpha=settings["alpha"],
+                          weakness=settings["weakness"], master_seed=args.seed)
     return (lambda d: randomized_l1(d, config, threads=args.threads)), meta
 
 
 def cmd_select(args, out_dir):
+    settings = _selector_settings(args)
     dataset = load_dataset(args.dataset)
     counts = None
     if args.method in _COUNT_METHODS:
-        selector, meta = _build_count_selector(args)
+        selector, meta = _build_count_selector(args, settings)
         scores = selector(dataset)
         counts = scores.counts
         values = scores.normalized
+        meta["fits_not_converged"] = scores.fits_not_converged
+        meta["solver_iterations"] = scores.solver_iterations
     elif args.method == "l1":
-        values = l1_weight_scores(dataset, _solver_config(args))
-        meta = {"method": "l1", "loss_weight": args.loss_weight}
+        values = l1_weight_scores(dataset, SolverConfig(loss_weight=settings["loss_weight"]))
+        meta = {"method": "l1", "loss_weight": settings["loss_weight"]}
     elif args.method == "l2":
-        values = l2_weight_scores(dataset, args.lambda_ridge)
-        meta = {"method": "l2", "lambda_ridge": args.lambda_ridge}
+        values = l2_weight_scores(dataset, settings["lambda_ridge"])
+        meta = {"method": "l2", "lambda_ridge": settings["lambda_ridge"]}
     else:
         values = ttest_scores(dataset)
         meta = {"method": "ttest"}
@@ -288,8 +304,9 @@ def cmd_eval(args, out_dir):
 
 
 def cmd_perm(args, out_dir):
+    settings = _selector_settings(args)
     dataset = load_dataset(args.dataset)
-    selector, meta = _build_count_selector(args)
+    selector, meta = _build_count_selector(args, settings)
     report = permutation_fp_estimate(dataset, selector, args.tau, args.replicates,
                                      seed=args.perm_seed)
     report_path = out_dir / "permutation_report.json"
@@ -308,19 +325,16 @@ def cmd_perm(args, out_dir):
 
 
 def _add_selector_flags(sub, methods):
+    """--method, and each selector flag that one of ``methods`` reads, with
+    the default of each method that reads it in its help."""
     sub.add_argument("--method", required=True, choices=methods)
-    sub.add_argument("--parcellation", help="parcellation CSV (required for rss)")
-    sub.add_argument("--K", dest="K", type=int, default=None,
-                     help=f"resampling iterations; defaults to {StabilityConfig.K} for rss, "
-                          f"{RandL1Config.K} for rand-l1")
-    sub.add_argument("--alpha", type=float, default=0.5,
-                     help="row fraction per iteration (rss and rand-l1)")
-    sub.add_argument("--beta", type=float, default=0.1, help="per-cluster feature fraction")
-    sub.add_argument("--block", default="3x3x3", help="block shape, e.g. 3x3x3")
-    sub.add_argument("--loss-weight", type=float, default=DEFAULT_LOSS_WEIGHT,
-                     help="weight on the logistic loss in the L1 objective")
-    sub.add_argument("--weakness", type=float, default=0.5,
-                     help="rand-l1 penalty jitter lower bound, in (0, 1]")
+    for dest, (kind, text) in _SELECTOR_FLAGS.items():
+        readers = [(m, _SELECTOR_DEFAULTS[m][dest]) for m in methods
+                   if dest in _SELECTOR_DEFAULTS[m]]
+        if readers:
+            uses = "; ".join(m if v is None else f"{m}, default {v}" for m, v in readers)
+            sub.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+                             help=f"{text} ({uses})")
 
 
 def build_parser():
@@ -360,8 +374,6 @@ def build_parser():
     select.add_argument("--out-dir", required=True)
     select.add_argument("--seed", type=int, default=0)
     select.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
-    select.add_argument("--lambda-ridge", type=float, default=1.0,
-                        help="ridge strength for method l2")
     _add_selector_flags(select, _ALL_METHODS)
     select.set_defaults(func=cmd_select)
 

@@ -195,10 +195,14 @@ class Parcellation:
 
 @dataclass(frozen=True)
 class StabilityScores:
-    """Per-feature selection counts out of K resampling iterations."""
+    """Per-feature selection counts out of K resampling iterations, with the
+    health of the K fits behind them: how many did not converge, and their
+    solver iterations summed."""
 
     counts: np.ndarray
     K: int
+    fits_not_converged: int = 0
+    solver_iterations: int = 0
 
     def __post_init__(self):
         counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))

@@ -16,14 +16,16 @@ optimality conditions, it tries Newton steps on the smooth objective of its
 support and intercept instead, as proximal Newton methods do (Lee, Sun &
 Saunders, SIAM J. Optim. 2014; Yuan, Ho & Lin, JMLR 2012): supports hold at
 most n columns, so a step is one small dense solve, and it ends most fits
-in two or three steps. Each problem keeps its own step size, backtracking,
-momentum, Newton back-off and stop state, and leaves the stack when it
-stops. A single fit is a stack of one. The stacked products are
-``np.matmul`` over views of runs of consecutive live problems, the Newton
-systems are solved in stacked calls of equal size, and the sums are row
-sums; all equal the products, solves and sums of each problem on its own
-bit for bit, so a problem's result does not depend on the problems that
-share its stack. The caller's stack is never written; the live problems
+in two or three steps. A weight that a step would take across zero stops
+at zero, as in active-set (Osborne, Presnell & Turlach, IMA J. Numer. Anal.
+2000) and orthant-wise methods (Andrew & Gao, ICML 2007). Each problem
+keeps its own step size, backtracking, momentum and stop state, and leaves
+the stack when it stops. A single fit is a stack of one. The stacked
+products are ``np.matmul`` over a view of the span of the live problems,
+the Newton systems are solved in stacked calls of equal size, and the sums
+are row sums; all equal the products, solves and sums of each problem on
+its own bit for bit, so a problem's result does not depend on the problems
+that share its stack. The caller's stack is never written; the live problems
 are gathered into a new stack only once at most half of the current one
 is live, so the kernel holds at most half a stack more than its caller.
 
@@ -229,13 +231,14 @@ def _tmv(Z, g):
 
 def _on_stack(f, Z, sel, v):
     """``f(Z[sel], v)`` for the problems ``sel`` (ascending indices) of a
-    stack without copying Z: one call of f on a view of each run of
-    consecutive problems."""
-    if sel[-1] - sel[0] + 1 == sel.size:
-        return f(Z[sel[0] : sel[-1] + 1], v)
-    ends = [*(np.flatnonzero(np.diff(sel) != 1) + 1).tolist(), sel.size]
-    return np.concatenate([f(Z[sel[i] : sel[j - 1] + 1], v[i:j])
-                           for i, j in zip([0, *ends[:-1]], ends)])
+    stack without copying Z: one call of f on the view of Z from the first
+    to the last problem of sel, whose other problems get zero rows of v."""
+    lo, hi = sel[0], sel[-1] + 1
+    if hi - lo == sel.size:
+        return f(Z[lo:hi], v)
+    padded = np.zeros((hi - lo, v.shape[1]))
+    padded[sel - lo] = v
+    return f(Z[lo:hi], padded)[sel - lo]
 
 
 def _dot(u, v):
@@ -254,7 +257,7 @@ def _newton_directions(Z, rows, on, gw, gc, sgn, q, loss_weight):
     support S (``on``) and its intercept, for the problems at positions
     ``rows`` (ascending) of the stack Z; ``gw`` and ``gc`` are their loss
     gradients, ``sgn`` the signs of their weights and ``q`` each row's
-    ``expit(-y * margin)``. ``dw`` is zero off S; also returns ``Z_S dw_S``.
+    ``expit(-y * margin)``. ``dw`` is zero off S.
 
     The Hessian is ``loss_weight * A'DA`` with A a column of ones and the
     support columns, D the rows' ``q (1 - q)``, its diagonal raised by
@@ -265,11 +268,11 @@ def _newton_directions(Z, rows, on, gw, gc, sgn, q, loss_weight):
     depends on its stack mates. A singular system gives a direction of nan.
     """
     P, n = q.shape
-    dw, dc, uw = np.zeros((P, Z.shape[2])), np.empty(P), np.empty((P, n))
+    dw, dc = np.zeros((P, Z.shape[2])), np.empty(P)
     D = loss_weight * (q * (1.0 - q))
     size = on.sum(axis=1)
     width = -(-(size + 1) // _NEWTON_WIDTH) * _NEWTON_WIDTH
-    for W in np.unique(width).tolist():
+    for W in (np.flatnonzero(np.bincount(width // _NEWTON_WIDTH)) * _NEWTON_WIDTH).tolist():
         g = np.flatnonzero(width == W)
         real = np.arange(W) <= size[g, None]  # the intercept, then S
         i, j = np.nonzero(real[:, 1:])
@@ -290,8 +293,7 @@ def _newton_directions(Z, rows, on, gw, gc, sgn, q, loss_weight):
             d = np.stack([_solve_or_nan(h, v) for h, v in zip(H, r)])
         dc[g] = d[:, 0]
         dw[g[i], S] = d[i, j + 1]
-        uw[g] = np.matmul(A[:, :, 1:], d[:, 1:, None])[:, :, 0]
-    return dw, dc, uw
+    return dw, dc
 
 
 def _solve_or_nan(H, r):
@@ -317,15 +319,15 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     weights satisfy the optimality conditions (``|g_j| <= 1 + tol_kkt``),
     its next iteration tries a Newton step instead: damped Newton on the
     smooth objective its signs give on its support S and intercept (see
-    :func:`_newton_directions`; |S| < n so that the system can be regular),
-    the full step halved at most ``_NEWTON_HALVINGS`` times while the
-    objective would rise. The step is accepted only if no
-    weight of S changes sign and the objective does not rise; it then
-    counts as the iteration and restarts the momentum. A failed attempt
-    costs no iteration, as the proximal step follows at once, and the
-    problem waits 2, 4, 8, ... iterations after its 1st, 2nd, 3rd, ...
-    failure on one sign pattern before the next attempt; new signs end the
-    wait.
+    :func:`_newton_directions`; |S| < n so that the system can be regular).
+    Each trial point is projected onto the orthant of the signs, the
+    weights that it would take across zero set to 0, and the full step is
+    halved at most ``_NEWTON_HALVINGS`` times while the objective of that
+    point would rise. A step that does not raise the objective counts as
+    the iteration and restarts the momentum, and the problem tries Newton
+    again at its next iteration if its zero weights still satisfy the
+    optimality conditions, whether or not its signs changed. A failed
+    attempt costs no iteration, as the proximal step follows at once.
 
     A problem leaves the stack at the first rule that ends it: KKT residual
     at most ``tol_kkt``, no progress even after a restart, or ``max_iters``
@@ -356,11 +358,10 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
     it = np.zeros(P, dtype=np.int64)
     wy, mwy, cy = w.copy(), mw.copy(), c.copy()
     sgn = np.sign(w)
-    # Newton state: due to try at the next iteration, iterations since the
-    # signs last changed, and the back-off
+    # Newton state: due to try at the next iteration, and iterations since
+    # the signs last changed
     due = np.zeros(P, dtype=bool)
     settled = np.zeros(P, dtype=np.int64)
-    wait, next_try = np.ones(P, dtype=np.int64), np.zeros(P, dtype=np.int64)
     gw = gc = q = None  # gradient parts of the last accepted iterates
 
     def attempt(sel, from_w, from_mw, from_c):
@@ -410,27 +411,27 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         return w_cand, mw_cand, c_cand, f_cand + np.abs(w_cand).sum(axis=1)
 
     def newton(sel):
-        """Damped Newton steps from the accepted iterates of the live
-        problems ``sel`` (ascending positions). Returns whether each step
-        was accepted and the new ``(w, mw, c, F)`` where it was."""
-        ws, mws, cs, Fs, sg = w[sel], mw[sel], c[sel], F[sel], sgn[sel]
-        dw, dc, uw = _newton_directions(Z, in_z[sel], np.abs(ws) > support_epsilon, gw[sel],
-                                        gc[sel], sg, q[sel], loss_weight)
-        ok = np.zeros(sel.size, dtype=bool)
+        """Damped, orthant-projected Newton steps from the accepted iterates
+        of the live problems ``sel`` (ascending positions). Returns whether
+        each step was accepted and the new ``(w, mw, c, F)`` where it was."""
+        ws, cs, Fs, sg, rows = w[sel], c[sel], F[sel], sgn[sel], in_z[sel]
+        dw, dc = _newton_directions(Z, rows, np.abs(ws) > support_epsilon, gw[sel], gc[sel], sg,
+                                    q[sel], loss_weight)
+        ok, mws = np.zeros(sel.size, dtype=bool), np.empty((sel.size, n))
         todo = np.flatnonzero(np.isfinite(dw).all(axis=1) & np.isfinite(dc))
         h = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
             if not todo.size:
                 break
-            wc, mwc = ws[todo] + h * dw[todo], mws[todo] + h * uw[todo]
-            cc = cs[todo] + h * dc[todo]
+            wc, cc = ws[todo] + h * dw[todo], cs[todo] + h * dc[todo]
+            wc[wc * sg[todo] < 0.0] = 0.0
+            mwc = _on_stack(_mv, Z, rows[todo], wc)
             Fc = _loss(y[sel[todo]], mwc, cc, loss_weight) + np.abs(wc).sum(axis=1)
-            flip = (np.sign(wc) != sg[todo]).any(axis=1)
-            good = ~flip & (Fc <= Fs[todo])
+            good = Fc <= Fs[todo]
             at = todo[good]
             ok[at] = True
             ws[at], mws[at], cs[at], Fs[at] = wc[good], mwc[good], cc[good], Fc[good]
-            todo = todo[~flip & ~good]
+            todo = todo[~good]
             h *= 0.5
         return ok, ws, mws, cs, Fs
 
@@ -445,18 +446,19 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         if due.any():
             tried = np.flatnonzero(due)
             ok, *cand = newton(tried)
-            failed = tried[~ok]
-            wait[failed] *= 2
-            next_try[failed] = it[failed] + wait[failed]
             took = tried[ok]
         # the proximal step runs on the whole stack, which costs less than on
-        # the runs between the Newton steps; a Newton step replaces its
-        # problem's, whose step size the backtracking must not have changed
-        kept_step = step[took]
-        w_cand, mw_cand, c_cand, F_cand = attempt(None, wy, mwy, cy)
-        if took.size:
-            step[took] = kept_step
-            w_cand[took], mw_cand[took], c_cand[took], F_cand[took] = (v[ok] for v in cand)
+        # the problems between the Newton steps, unless every problem took
+        # one; a Newton step replaces its problem's, whose step size the
+        # backtracking must not have changed
+        if took.size == pid.size:
+            w_cand, mw_cand, c_cand, F_cand = cand
+        else:
+            kept_step = step[took]
+            w_cand, mw_cand, c_cand, F_cand = attempt(None, wy, mwy, cy)
+            if took.size:
+                step[took] = kept_step
+                w_cand[took], mw_cand[took], c_cand[took], F_cand[took] = (v[ok] for v in cand)
         slack = 1e-12 * np.maximum(1.0, np.abs(F))
         over = np.flatnonzero(F_cand > F + slack)
         stuck = np.zeros(pid.size, dtype=bool)
@@ -488,10 +490,10 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         step *= 1.1
         sgn = np.sign(w)
         settled = np.where((sgn == sgn_prev).all(axis=1), settled + 1, 0)
-        wait[settled == 0], next_try[settled == 0] = 1, 0  # new signs, no back-off
         off = np.abs(w) <= support_epsilon
-        due = ((settled >= 2) & (it >= next_try) & ((~off).sum(axis=1) < n)
-               & ~(off & (viol > tol_kkt)).any(axis=1))
+        ready = ((~off).sum(axis=1) < n) & ~(off & (viol > tol_kkt)).any(axis=1)
+        due = ready & (settled >= 2)
+        due[took] = ready[took]  # after a Newton step, whatever its signs
         rule[(rule < 0) & (it >= limit[pid])] = _MAX_ITERS
         rule[stuck] = _NO_PROGRESS
         live = rule < 0
@@ -507,7 +509,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
                 Z, in_z = stack[pid], np.arange(pid.size)
             wy, mwy, cy, sgn, gw, gc, q = (v[keep] for v in (wy, mwy, cy, sgn, gw, gc, q))
             t, step, kkt, it = (v[keep] for v in (t, step, kkt, it))
-            due, settled, wait, next_try = (v[keep] for v in (due, settled, wait, next_try))
+            due, settled = due[keep], settled[keep]
     return out_w, out_c, out_F, out_kkt, out_kkt <= tol_kkt, out_it, out_stop
 
 

@@ -306,6 +306,8 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
     ``RngStream(master_seed, k)``; ``fit(design)`` hands the whole batch
     to the solver, whose entry points only read it, in one lockstep kernel
     call and returns (selected feature indices, SolverSolution) for each.
+    The scores also count the fits that did not converge and sum the
+    solver iterations of all K.
     ``designs``, if given, maps (start, stop) to designs made so far and
     takes those drawn now. Aborts when more than _MAX_FAILURE_FRACTION of
     the fits do not converge, counting those whose drawn rows hold one
@@ -328,7 +330,8 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
         if designs is not None:
             designs[batch] = design
         # keep no weight vector: K of them would hold K*p floats at once
-        return [(selected, sol.converged, sol.kkt_residual) for selected, sol in fit(design)]
+        return [(selected, sol.converged, sol.kkt_residual, sol.n_iters)
+                for selected, sol in fit(design)]
 
     starts = range(0, K, size)
     if threads > 1 and len(starts) > 1:
@@ -338,7 +341,7 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
         results = [r for start in starts for r in one(start)]
     counts = np.zeros(p, dtype=np.int64)
     failures = []
-    for k, (selected, converged, kkt) in enumerate(results):
+    for k, (selected, converged, kkt, _) in enumerate(results):
         # indices within one iteration are unique, so fancy += is safe
         counts[selected] += 1
         if not converged:
@@ -353,7 +356,8 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
                "intercept fits (draw more rows)" if one_class else "")
             + f"; first failure at iteration {k0} with optimality residual {kkt0:.3e}"
         )
-    return StabilityScores(counts=counts, K=K)
+    return StabilityScores(counts=counts, K=K, fits_not_converged=len(failures),
+                           solver_iterations=sum(r[3] for r in results))
 
 
 @contextmanager

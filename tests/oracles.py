@@ -146,16 +146,17 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
     the support S (|S| < n) and the intercept, for the smooth objective the
     signs give, its Hessian's diagonal raised by 1e-8 of its largest entry
     and the system padded with identity rows and columns to a multiple of
-    8; the full step is halved up to four times while the objective would
-    rise. It is taken only if no weight of S changes sign and the objective
-    does not rise, and then restarts the momentum. A failed try is followed
-    by the proximal step, and the next try on the same signs waits 2, 4, 8,
-    ... iterations. Labels of one class have no finite intercept: no
+    8. Each trial point sets to 0 the weights whose sign it would reverse;
+    the full step is halved up to four times while the objective of that
+    point would rise. A step that does not raise the objective is taken and
+    restarts the momentum, and the next iteration tries again if the zero
+    weights still meet the condition above. A failed try is followed by the
+    proximal step. Labels of one class have no finite intercept: no
     iteration, residual inf.
 
     Returns ``(w, c, objective, kkt, converged, iters)``. A list given as
-    ``steps`` gets ``(kind, objective before, objective after)`` for each
-    iteration, kind "newton" or "prox".
+    ``steps`` gets ``(kind, objective before, objective after, weights
+    before, weights after)`` for each iteration, kind "newton" or "prox".
     """
     n, a = Z.shape
     w = np.asarray(w0, dtype=np.float64).copy()
@@ -216,15 +217,14 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
         dw = np.zeros(a)
         dw[S] = d[1 : s + 1]
         dc = d[0]
-        uw = A[:, 1:] @ d[1:]
         if not (np.isfinite(dw).all() and np.isfinite(dc)):
             return None
         h = 1.0
         for _ in range(5):
-            w_new, mw_new, c_new = w + h * dw, mw + h * uw, c + h * dc
+            w_new, c_new = w + h * dw, c + h * dc
+            w_new[w_new * sgn < 0.0] = 0.0  # a weight crossing zero stops at zero
+            mw_new = Z @ w_new
             F_new = loss(y * (mw_new + c_new)) + float(np.abs(w_new).sum())
-            if (np.sign(w_new) != sgn).any():
-                return None
             if F_new <= F:
                 return w_new, mw_new, c_new, F_new
             h *= 0.5
@@ -233,7 +233,7 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
     t = 1.0
     wy, mwy, cy = w.copy(), mw.copy(), c
     sgn = np.sign(w)
-    due, settled, wait, next_try = False, 0, 1, 0
+    due, settled = False, 0
     kkt = math.inf
     it = 0
     while it < max_iters:
@@ -241,9 +241,6 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
         if took:
             w_cand, mw_cand, c_cand, F_cand = found
         else:
-            if due:
-                wait *= 2
-                next_try = it + wait
             w_cand, mw_cand, c_cand, F_cand = attempt(wy, mwy, cy)
             slack = 1e-12 * max(1.0, abs(F))
             if F_cand > F + slack:
@@ -256,7 +253,7 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
         w, mw, c, F = w_cand, mw_cand, c_cand, min(F_cand, F)
         it += 1
         if steps is not None:
-            steps.append(("newton" if took else "prox", F_prev, F))
+            steps.append(("newton" if took else "prox", F_prev, F, w_prev, w))
 
         q = expit(-(y * (mw + c)))
         gvec = -(y * q)
@@ -278,10 +275,8 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
         step *= 1.1
         sgn = np.sign(w)
         settled = settled + 1 if (sgn == sgn_prev).all() else 0
-        if not settled:
-            wait, next_try = 1, 0
         off = np.abs(w) <= support_epsilon
-        due = (settled >= 2 and it >= next_try and (~off).sum() < n
+        due = ((settled >= 2 or took) and (~off).sum() < n
                and not (off & (viol > tol_kkt)).any())
     return w, c, F, kkt, kkt <= tol_kkt, it
 

@@ -138,6 +138,10 @@ def test_select_supports_every_method(workspace, tmp_path):
             assert loaded["count"].max() == 0
         meta = json.loads((out / "scores_meta.json").read_text())
         assert meta["method"] == method
+        if method in ("rss", "rand-l1"):  # the health of the K fits
+            assert meta["fits_not_converged"] == 0 and meta["solver_iterations"] > 0
+        else:
+            assert "solver_iterations" not in meta
 
 
 def test_select_rss_without_parcellation_fails(workspace, tmp_path, capsys):
@@ -149,7 +153,7 @@ def test_select_rss_without_parcellation_fails(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", [["rss", "--alpha", "0.2"],
+@pytest.mark.parametrize("method", [["rss", "--alpha", "0.2", "--parcellation", "{parc}"],
                                     ["rand-l1", "--alpha", "0.2"]])
 def test_select_on_one_class_row_subsamples_fails_with_the_cause(tmp_path, capsys, method):
     """Six rows at a row fraction of 0.2 draw one row per fit, so every fit
@@ -162,9 +166,9 @@ def test_select_on_one_class_row_subsamples_fails_with_the_cause(tmp_path, capsy
     assert main(["cluster", "--dataset", str(data), "--q", "10",
                  "--out-dir", str(tmp_path / "parc")]) == 0
     capsys.readouterr()
-    code = main(["select", "--dataset", str(data), "--method", *method, "--K", "20",
-                 "--parcellation", str(tmp_path / "parc" / "parcellation.csv"),
-                 "--out-dir", str(tmp_path / "sel")])
+    parc = tmp_path / "parc" / "parcellation.csv"
+    code = main(["select", "--dataset", str(data), "--K", "20", "--out-dir", str(tmp_path / "sel"),
+                 "--method", *(flag.format(parc=parc) for flag in method)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: 20 of 20 resampled fits failed to converge")
@@ -211,17 +215,45 @@ def test_select_rand_l1_takes_its_row_fraction_from_alpha(workspace, tmp_path, c
     assert "unrecognized arguments: --row-fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, unread", [
+    ("select", ["--method", "ttest", "--K", "5", "--beta", "0.3", "--block", "2x2x2"],
+     "ttest does not read --K, --beta, --block"),
+    ("select", ["--method", "rand-l1", "--beta", "0.3", "--parcellation", "{parcellation}"],
+     "rand-l1 does not read --parcellation, --beta"),
+    ("select", ["--method", "rss", "--parcellation", "{parcellation}", "--lambda-ridge", "7",
+                "--weakness", "0.2"], "rss does not read --weakness, --lambda-ridge"),
+    ("perm", ["--method", "rand-l1", "--tau", "0.4", "--block", "2x2x2"],
+     "rand-l1 does not read --block"),
+])
+def test_selector_refuses_a_flag_its_method_does_not_read(workspace, tmp_path, capsys, command,
+                                                          flags, unread):
+    """A selector flag that the chosen method never reads is an error that
+    names it, before anything is written, not a run whose manifest records
+    the flag as if it had acted."""
+    out = tmp_path / "sel"
+    code = main([command, "--dataset", str(workspace["data"]), "--out-dir", str(out),
+                 *(f.format(**workspace) for f in flags)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: method {unread}\n"
+    assert not any(out.iterdir())
+
+
 def test_select_threads_flag_never_changes_bytes(workspace, tmp_path):
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert main([
-            "select", "--dataset", str(workspace["data"]), "--method", "rss",
-            "--parcellation", str(workspace["parcellation"]), "--K", "6",
-            "--threads", threads, "--out-dir", str(out),
-        ]) == 0
-        outs.append(out / "scores.csv")
-    assert _sha(outs[0]) == _sha(outs[1])
+    """The scores and their metadata, fit health included, are the same
+    bytes at one and two threads, for rss (one batch) and for rand-l1 with
+    K=70 (batches of 64 and 6)."""
+    for method in (["rss", "--parcellation", str(workspace["parcellation"]), "--K", "6"],
+                   ["rand-l1", "--K", "70"]):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{method[0]}-t{threads}"
+            assert main([
+                "select", "--dataset", str(workspace["data"]), "--threads", threads,
+                "--out-dir", str(out), "--method", *method,
+            ]) == 0
+            outs.append(out)
+        for name in ("scores.csv", "scores_meta.json"):
+            assert _sha(outs[0] / name) == _sha(outs[1] / name)
 
 
 def test_eval_pr_outputs(workspace, tmp_path):

@@ -515,16 +515,59 @@ def test_newton_finishes_stack_mates_at_different_iterations():
     assert len(finished_at) >= 4 and sizes == {5, 6, 8}
 
 
+def test_newton_step_stops_a_weight_that_would_cross_zero_at_zero(monkeypatch):
+    """A 12 x 6 fit whose fifth iteration is a Newton step whose full length
+    takes weight 2, and no other, across zero. The kernel sets that weight
+    to exactly 0 and keeps the other signs, the objective does not rise,
+    the next iteration tries Newton again although the signs changed, and
+    every iteration is the single-problem loop's bit for bit."""
+    rng = np.random.default_rng(4)
+    Z = rng.normal(size=(12, 6)) * rng.uniform(0.2, 3.0, size=6)
+    y = np.where(rng.normal(size=12) + Z[:, 0] > 0, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0
+    Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+    directions, real = [], solver._newton_directions
+
+    def recording(*args):
+        dw, dc = real(*args)
+        directions.append(dw[0].copy())
+        return dw, dc
+
+    monkeypatch.setattr(solver, "_newton_directions", recording)
+    runs = {}
+    for cap in (4, 5, 6, 10000):
+        directions.clear()
+        w, _, obj, *_ = solver._prox_solve(Z[None], y[None], 2.0, np.zeros((1, 6)), np.zeros(1),
+                                           cap, 1e-9, 1e-8)
+        runs[cap] = w[0], obj[0], len(directions), directions[-1] if directions else None
+    (w4, obj4, tries4, _), (w5, obj5, tries5, dw) = runs[4], runs[5]
+    assert tries5 == tries4 + 1
+    assert np.flatnonzero((w4 + dw) * w4 < 0.0).tolist() == [2]
+    assert w5[2] == 0.0 != w4[2] and obj5 <= obj4
+    keep = np.arange(6) != 2
+    assert (np.sign(w5[keep]) == np.sign(w4[keep])).all()
+    assert runs[6][2] == tries5 + 1
+    steps = []
+    want = oracles.prox_solve_reference(Z, y, 2.0, np.zeros(6), 0.0, 10000, 1e-9, 1e-8,
+                                        steps=steps)
+    assert [kind for kind, *_ in steps[4:6]] == ["newton", "newton"]
+    assert steps[4][4].tobytes() == w5.tobytes()
+    assert runs[10000][0].tobytes() == want[0].tobytes() and runs[10000][1] == want[2]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_lockstep_instances())
 def test_newton_steps_never_raise_the_objective_and_stop_by_kkt(instance):
-    """No Newton step raises its problem's objective. A problem that stops
-    right after a Newton step stops by ``kkt`` unless that step was its
-    last allowed iteration, and no problem runs past its cap."""
+    """No Newton step raises its problem's objective or reverses the sign of
+    any weight. A problem that stops right after a Newton step stops by
+    ``kkt`` unless that step was its last allowed iteration, and no problem
+    runs past its cap."""
     Z, y, lw, w0, c0, cap, tol = instance
     _, _, obj, _, _, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
     for b, (_, steps) in enumerate(_steps(Z, y, lw, w0, c0, cap, tol)):
-        assert all(after <= before for kind, before, after in steps if kind == "newton")
+        newton = [step for step in steps if step[0] == "newton"]
+        assert all(after <= before for _, before, after, _, _ in newton)
+        assert not any((w_after * w_before < 0.0).any() for *_, w_before, w_after in newton)
         assert iters[b] == len(steps) <= cap
         rule = solver._STOP_RULES[stop[b]]
         if rule == "max iters":
@@ -545,10 +588,10 @@ def test_singular_newton_system_fails_alone():
     q[0] = 0.0  # margins beyond the reach of expit
     gw, gc, sgn = rng.normal(size=(2, 3)), rng.normal(size=2), np.sign(rng.normal(size=(2, 3)))
     rows = np.arange(2)
-    dw, dc, uw = solver._newton_directions(Z, rows, on, gw, gc, sgn, q, 1.5)
+    dw, dc = solver._newton_directions(Z, rows, on, gw, gc, sgn, q, 1.5)
     alone = solver._newton_directions(Z[1:], rows[:1], on[1:], gw[1:], gc[1:], sgn[1:], q[1:], 1.5)
     assert np.isnan(dw[0, [0, 2]]).all() and np.isnan(dc[0]) and dw[0, 1] == 0.0
-    for got, want in zip((dw, dc, uw), alone):
+    for got, want in zip((dw, dc), alone):
         assert got[1].tobytes() == want[0].tobytes()
     assert np.isfinite(dw[1]).all() and dw[1, 1] == 0.0
 

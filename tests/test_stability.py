@@ -15,6 +15,7 @@ from rss_select.data import (
     GridGeometry,
     Parcellation,
     RngStream,
+    SolverSolution,
     StabilityScores,
 )
 from rss_select import solver, stability
@@ -27,6 +28,7 @@ from rss_select.stability import (
     draw_iteration,
     draw_row_subsample,
     load_scores_csv,
+    resample,
     round_nearest,
     run_stability_selection,
     save_scores_csv,
@@ -473,6 +475,26 @@ def test_counts_ignore_threads_across_lockstep_batches(monkeypatch, record_batch
         sizes.clear()
         assert_array_equal(run_stability_selection(ds, parc, config, threads=threads).counts, want)
         assert sorted(sizes) == [2, 4, 4]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_resample_counts_unconverged_fits_and_sums_their_iterations(threads):
+    """The scores report how many of the K fits did not converge and the
+    sum of their solver iterations, the same in batches of one on any
+    thread count."""
+    def draw(gens):
+        return [int(gen.integers(1, 60)) for gen in gens]
+
+    def fit(design):
+        return [(np.array([0]), SolverSolution(w=np.zeros(1), c=0.0, objective=1.0,
+                                               kkt_residual=1.0, converged=n % 7 != 0, n_iters=n))
+                for n in design]
+
+    scores = resample(3, 30, 11, draw, fit, entries=1 << 30, threads=threads)
+    want = [draw([RngStream(11, k).generator()])[0] for k in range(30)]
+    assert scores.solver_iterations == sum(want)
+    assert scores.fits_not_converged == sum(n % 7 == 0 for n in want) > 0
+    assert scores.counts.tolist() == [30, 0, 0]
 
 
 def test_rss_run_that_fits_one_call_is_one_kernel_call(monkeypatch):
