@@ -59,6 +59,10 @@ from .synthgen import SynthConfig, generate_synthetic, load_ground_truth, save_g
 # the methods that read each. The parser defaults them all to None, so that
 # a flag given to a method that does not read it is refused
 _SELECTOR_FLAGS = {
+    "seed": (int, "master seed of the resampled draws"),
+    "threads": (int, "threads that run the batches of resampled fits; a batch is one "
+                     "lockstep solver call of up to 64 fits, so an rss run of K=50 is one "
+                     "batch that no thread count splits; outputs are the same at any count"),
     "parcellation": (str, "parcellation CSV, required"),
     "K": (int, "resampling iterations"),
     "alpha": (float, "row fraction per iteration"),
@@ -69,10 +73,11 @@ _SELECTOR_FLAGS = {
     "lambda_ridge": (float, "ridge strength"),
 }
 _SELECTOR_DEFAULTS = {
-    "rss": {"parcellation": None, "K": StabilityConfig.K, "alpha": StabilityConfig.alpha,
-            "beta": StabilityConfig.beta, "block": "x".join(map(str, StabilityConfig.block_shape)),
+    "rss": {"seed": 0, "threads": 1, "parcellation": None, "K": StabilityConfig.K,
+            "alpha": StabilityConfig.alpha, "beta": StabilityConfig.beta,
+            "block": "x".join(map(str, StabilityConfig.block_shape)),
             "loss_weight": DEFAULT_LOSS_WEIGHT},
-    "rand-l1": {"K": RandL1Config.K, "alpha": RandL1Config.alpha,
+    "rand-l1": {"seed": 0, "threads": 1, "K": RandL1Config.K, "alpha": RandL1Config.alpha,
                 "weakness": RandL1Config.weakness, "loss_weight": DEFAULT_LOSS_WEIGHT},
     "l1": {"loss_weight": DEFAULT_LOSS_WEIGHT},
     "l2": {"lambda_ridge": 1.0},
@@ -80,9 +85,6 @@ _SELECTOR_DEFAULTS = {
 }
 _COUNT_METHODS = ("rss", "rand-l1")
 _ALL_METHODS = tuple(_SELECTOR_DEFAULTS)
-_THREADS_HELP = ("run the batches of resampled fits of rss and rand-l1 on N threads; a "
-                 "batch is one lockstep solver call of up to 64 fits, so an rss run of "
-                 "K=50 is one batch that no N splits; outputs are identical for any N")
 
 
 def _parse_triple(text, label):
@@ -183,7 +185,7 @@ def _selector_settings(args):
 def _build_count_selector(args, settings):
     """Configured rss / rand-l1 scorer plus its metadata, for select and perm."""
     solver = SolverConfig(loss_weight=settings["loss_weight"])
-    meta = {"method": args.method, "master_seed": args.seed,
+    meta = {"method": args.method, "master_seed": settings["seed"],
             **{d: settings[d] for d in ("K", "alpha", "beta", "weakness", "loss_weight")
                if d in settings}}
     if args.method == "rss":
@@ -193,13 +195,14 @@ def _build_count_selector(args, settings):
         config = StabilityConfig(solver=solver, K=settings["K"], alpha=settings["alpha"],
                                  beta=settings["beta"],
                                  block_shape=_parse_triple(settings["block"], "--block"),
-                                 master_seed=args.seed)
+                                 master_seed=settings["seed"])
         meta.update(block_shape=list(config.block_shape), parcellation=str(args.parcellation),
                     parcellation_checksum=parcellation.checksum())
-        return (lambda d: run_stability_selection(d, parcellation, config, threads=args.threads)), meta
+        return (lambda d: run_stability_selection(d, parcellation, config,
+                                                  threads=settings["threads"])), meta
     config = RandL1Config(solver=solver, K=settings["K"], alpha=settings["alpha"],
-                          weakness=settings["weakness"], master_seed=args.seed)
-    return (lambda d: randomized_l1(d, config, threads=args.threads)), meta
+                          weakness=settings["weakness"], master_seed=settings["seed"])
+    return (lambda d: randomized_l1(d, config, threads=settings["threads"])), meta
 
 
 def cmd_select(args, out_dir):
@@ -213,6 +216,7 @@ def cmd_select(args, out_dir):
         values = scores.normalized
         meta["fits_not_converged"] = scores.fits_not_converged
         meta["solver_iterations"] = scores.solver_iterations
+        meta["seed"] = settings["seed"]
     elif args.method == "l1":
         values = l1_weight_scores(dataset, SolverConfig(loss_weight=settings["loss_weight"]))
         meta = {"method": "l1", "loss_weight": settings["loss_weight"]}
@@ -223,7 +227,6 @@ def cmd_select(args, out_dir):
         values = ttest_scores(dataset)
         meta = {"method": "ttest"}
     meta["dataset"] = str(args.dataset)
-    meta["seed"] = args.seed
     scores_path = out_dir / "scores.csv"
     save_scores_csv(scores_path, values, counts=counts, geometry=dataset.geometry)
     meta_path = out_dir / "scores_meta.json"
@@ -372,8 +375,6 @@ def build_parser():
     select = subs.add_parser("select", help="score features with one method")
     select.add_argument("--dataset", required=True)
     select.add_argument("--out-dir", required=True)
-    select.add_argument("--seed", type=int, default=0)
-    select.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
     _add_selector_flags(select, _ALL_METHODS)
     select.set_defaults(func=cmd_select)
 
@@ -399,9 +400,7 @@ def build_parser():
     perm.add_argument("--out-dir", required=True)
     perm.add_argument("--tau", type=float, required=True)
     perm.add_argument("--replicates", type=int, default=20, help="number of permutations B")
-    perm.add_argument("--seed", type=int, default=0, help="seed for the selector itself")
     perm.add_argument("--perm-seed", type=int, default=0, help="seed for label permutations")
-    perm.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
     _add_selector_flags(perm, _COUNT_METHODS)
     perm.set_defaults(func=cmd_perm)
     return parser

@@ -4,7 +4,9 @@ Each feature becomes a vector of its standardized values across samples,
 optionally extended with weighted grid coordinates so clusters prefer
 spatial contiguity. Lloyd's algorithm runs from k-means++ starts; empty
 clusters are reseeded with the point currently farthest from its centroid,
-which keeps the within-cluster sum of squares non-increasing.
+which keeps the within-cluster sum of squares non-increasing. It all runs
+on numpy alone, in blocks: no step makes a temporary the size of the
+feature matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Parcellation, RngStream, read_csv_rows
-from .solver import standardize_columns
+from .solver import column_stats
+from .solver import standardize_columns  # noqa: F401  perfbench traces this name here
+
+# float64 entries per block (0.5 MiB): of rows of the Lloyd distances, so
+# each block is reduced while it is still in L2 cache (15 full-scale Lloyd
+# steps took 0.30 s with these and 0.32 s with 4 MiB blocks on 2 vCPUs,
+# medians of 7), and of columns of X or flat features elsewhere here
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,19 +56,26 @@ def build_feature_vectors(dataset: Dataset, spatial_weight: float = 0.0) -> np.n
     Returns a p×n matrix (constant features become zero rows), or p×(n+3)
     when ``spatial_weight > 0``: each grid axis is scaled to [0, 1] and
     multiplied by the weight, so the weight is relative to standardized
-    signal entries of unit variance.
+    signal entries of unit variance. Each profile entry is
+    ``(x - mean) / std`` over the statistics of :func:`column_stats`, as
+    ``standardize_columns`` computes it, written into the result one block
+    of columns at a time.
     """
     if not spatial_weight >= 0:
         raise ValueError("spatial_weight must be non-negative")
-    Z, _, _, keep = standardize_columns(dataset.X)
-    vectors = np.zeros((dataset.p, dataset.n))
-    vectors[keep] = Z.T
+    if spatial_weight > 0 and dataset.geometry is None:
+        raise ValueError("spatial_weight > 0 requires grid geometry")
+    X = dataset.X
+    n, p = X.shape
+    mean, std, keep = column_stats(X)
+    vectors = np.zeros((p, n + 3 if spatial_weight > 0 else n))
+    width = max(1, _BLOCK_ENTRIES // n)
+    for j in range(0, p, width):
+        cols = j + np.flatnonzero(keep[j : j + width])
+        vectors[cols, :n] = ((X[:, cols] - mean[cols]) / std[cols]).T
     if spatial_weight > 0:
-        if dataset.geometry is None:
-            raise ValueError("spatial_weight > 0 requires grid geometry")
         denom = np.maximum(np.asarray(dataset.geometry.dims) - 1, 1)
-        coords = dataset.geometry.mask / denom
-        vectors = np.hstack([vectors, spatial_weight * coords])
+        vectors[:, n:] = spatial_weight * (dataset.geometry.mask / denom)
     return vectors
 
 
@@ -68,12 +84,22 @@ def _near_tol(dim):
     return 4.0 * (dim + 2) * np.finfo(np.float64).eps
 
 
+def _choice(rng, p):
+    """The index ``rng.choice(p.size, p=p)`` draws, and the same stream
+    after it, without its checks of p: numpy normalizes the cumulative sums
+    of p by the last one and inverts them at one uniform draw."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp(features, q, rng):
     """k-means++ starts (Arthur & Vassilvitskii, SODA 2007).
 
     Distances to each new center come from one matrix-vector product against
     cached row norms. A row identical to a chosen center gets exactly 0, so
-    it is never drawn again.
+    it is never drawn again. Each next center is drawn with probability
+    proportional to its squared distance, by :func:`_choice`.
     """
     npts, dim = features.shape
     row_sq = np.einsum("ij,ij->i", features, features)
@@ -86,7 +112,7 @@ def _kmeanspp(features, q, rng):
         if j:
             total = d2.sum()
             if total > 0:
-                idx = rng.choice(npts, p=d2 / total)
+                idx = _choice(rng, d2 / total)
             else:
                 idx = rng.integers(npts)  # all points coincide with a center
         center = features[idx]
@@ -101,32 +127,65 @@ def _kmeanspp(features, q, rng):
     return centers
 
 
-# distance entries per block of rows in a Lloyd step (4 MiB of float64),
-# so each block is reduced while it is still in cache
-_BLOCK_ENTRIES = 1 << 19
+def _sum_of_squares(features):
+    """``float((features**2).sum())`` bit for bit, without the squares of
+    the whole matrix. numpy's pairwise sum halves an array longer than 128
+    at a multiple of 8; splitting the flat array the same way, down to
+    pieces of at most ``_BLOCK_ENTRIES`` (at least 128), adds the same
+    partial sums in the same order."""
+    flat = features.reshape(-1)
+    if flat.size <= _BLOCK_ENTRIES:
+        return float(np.square(flat).sum())
+    half = flat.size // 2
+    half -= half % 8
+    return _sum_of_squares(flat[:half]) + _sum_of_squares(flat[half:])
+
+
+def _cluster_sums(features, assign, counts):
+    """Each cluster's rows summed in index order onto +0.0, as a product of
+    the 0/1 membership matrix with the features adds them (q x dim; every
+    count positive). Clusters go largest first, so the clusters with a
+    t-th member are a prefix, and round t adds the t-th members of all of
+    them at once."""
+    q = counts.size
+    order = np.argsort(-counts, kind="stable")
+    sizes = counts[order]
+    widths = q - np.searchsorted(sizes[::-1], np.arange(sizes[0]), side="right")
+    # each cluster's rows in index order: a stable sort of the ids in the
+    # narrowest integer type that holds them gives the permutation the int64
+    # ids would, and numpy radix-sorts 8 and 16 bits (at full scale, q=200:
+    # 0.18 ms with the cast against 1.6 ms)
+    members = np.argsort(assign.astype(np.min_scalar_type(q - 1)), kind="stable")
+    # the rounds laid end to end: the member of rank t of the cluster in
+    # place j of the order goes to place j of round t
+    rank = np.arange(assign.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    place = np.empty(q, dtype=np.int64)
+    place[order] = np.arange(q)
+    rounds = np.empty_like(members)
+    rounds[(np.cumsum(widths) - widths)[rank] + np.repeat(place, counts)] = members
+    sums = np.zeros((q, features.shape[1]))
+    at = 0
+    for w in widths.tolist():
+        sums[:w] += features[rounds[at : at + w]]
+        at += w
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
 def _lloyd(features, centers, max_iters):
     """Lloyd iterations with deterministic empty-cluster repair.
 
     Returns (assignment, inertia, history); history holds the WCSS after
-    each center update, clamped at 0, and is non-increasing.
+    each center update, clamped at 0, and is non-increasing. Distances are
+    computed a block of rows at a time, and each center is its cluster's
+    sum from :func:`_cluster_sums` over its count.
     """
     npts = features.shape[0]
     q = centers.shape[0]
     centers = centers.copy()
-    sq_all = float((features**2).sum())
-    # imported here, not at module level, so that CLI start-up does not pay
-    # for it, and only once the p x n temporary of sq_all is freed, so that
-    # scipy's memory never sits next to it. ru_maxrss through the k-means
-    # stage of the first pipeline-full benchmark pass (seeds 10 and 12) read
-    # 139.9 and 140.8 MiB with this import as the first line of _lloyd, 118.6
-    # and 119.1 MiB with it here, and 133.0 and 130.3 MiB while the solver
-    # imported scipy.special at start-up
-    from scipy import sparse
-
+    sq_all = _sum_of_squares(features)
     points = np.arange(npts)
-    ones = np.ones(npts)
     block_rows = max(1, _BLOCK_ENTRIES // q)
     block = np.empty((min(block_rows, npts), q))
     d_own = np.empty(npts)
@@ -168,9 +227,7 @@ def _lloyd(features, centers, max_iters):
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        # indicator matmul: each cluster's rows are summed in index order
-        members = sparse.csr_matrix((ones, (assign, points)), shape=(q, npts))
-        centers = (members @ features) / counts[:, None]
+        centers = _cluster_sums(features, assign, counts) / counts[:, None]
         # WCSS identity: sum ||x||^2 - sum_g n_g ||mean_g||^2, which cancels
         # to rounding noise on pure clusters; a WCSS is never negative
         history.append(max(0.0, sq_all - float((counts * (centers**2).sum(axis=1)).sum())))

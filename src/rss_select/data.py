@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -299,7 +300,8 @@ def save_dataset(dataset: Dataset, path) -> None:
         f.write("\n")
     with open(path / "X.bin", "wb") as f:
         f.write(MAGIC)
-        f.write(np.ascontiguousarray(dataset.X, dtype="<f8").tobytes())
+        # the array's own buffer, not a bytes copy of it
+        f.write(memoryview(np.ascontiguousarray(dataset.X, dtype="<f8")).cast("B"))
     if dataset.geometry is not None:
         with open(path / "mask.bin", "wb") as f:
             f.write(np.ascontiguousarray(dataset.geometry.mask, dtype="<u4").tobytes())
@@ -344,16 +346,19 @@ def load_dataset(path) -> Dataset:
     x_path = path / "X.bin"
     if not x_path.is_file():
         raise ContainerError(f"missing X.bin in {path}")
-    raw = x_path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ContainerError("X.bin magic mismatch")
-    body = raw[len(MAGIC) :]
     expected = n * p * 8
-    if len(body) != expected:
-        raise ContainerError(
-            f"X.bin dimension mismatch: expected {expected} payload bytes, found {len(body)}"
-        )
-    X = np.frombuffer(body, dtype="<f8").reshape(n, p)
+    with open(x_path, "rb") as f:
+        if f.read(len(MAGIC)) != MAGIC:
+            raise ContainerError("X.bin magic mismatch")
+        found = os.fstat(f.fileno()).st_size - len(MAGIC)
+        X = np.empty((n, p), dtype="<f8")
+        # the payload goes straight into X, with no bytes object in between
+        if found == expected:
+            found = f.readinto(memoryview(X).cast("B"))
+        if found != expected:
+            raise ContainerError(
+                f"X.bin dimension mismatch: expected {expected} payload bytes, found {found}"
+            )
     if not np.isfinite(X).all():
         raise ContainerError("X.bin contains NaN or Inf entries")
 
@@ -371,4 +376,4 @@ def load_dataset(path) -> Dataset:
         mask = np.frombuffer(mask_raw, dtype="<u4").reshape(p, 3).astype(np.int64)
         geometry = GridGeometry(tuple(grid_dims), mask)
 
-    return Dataset(X=X.copy(), y=np.asarray(labels), geometry=geometry)
+    return Dataset(X=X, y=np.asarray(labels), geometry=geometry)

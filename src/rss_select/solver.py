@@ -137,7 +137,7 @@ class SolverConfig:
             raise ValueError("tol_kkt must be positive, support_epsilon non-negative, both finite")
 
 
-def _column_stats(X):
+def column_stats(X):
     """Column mean, population std and the mask of non-constant columns of
     a matrix.
 
@@ -167,7 +167,7 @@ def standardize_columns(X: np.ndarray):
     passes through unchanged up to floating point.
     """
     X = np.asarray(X, dtype=np.float64)
-    mean, std, keep = _column_stats(X)
+    mean, std, keep = column_stats(X)
     Z = (X[:, keep] - mean[keep]) / std[keep]
     return Z, mean, std, keep
 
@@ -514,7 +514,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
 
 
 def _subsample_stats(X, rows):
-    """:func:`_column_stats` of the B row subsamples ``X[rows[b]]``, from one
+    """:func:`column_stats` of the B row subsamples ``X[rows[b]]``, from one
     pass over X in column blocks.
 
     Each block is shifted by its column means; the 0/1 row indicators of the
@@ -554,7 +554,7 @@ def _subsample_stats(X, rows):
         s1 += shift
     for b in np.flatnonzero(cancel.any(axis=1)):
         idx = np.flatnonzero(cancel[b])
-        mean[b, idx], std[b, idx], _ = _column_stats(X[rows[b, :, None], idx])
+        mean[b, idx], std[b, idx], _ = column_stats(X[rows[b, :, None], idx])
     keep = cancel  # its rows are spent
     for mean_b, std_b, keep_b in zip(mean, std, keep):
         np.greater(std_b, k * np.finfo(np.float64).eps * np.abs(mean_b), out=keep_b)
@@ -699,7 +699,7 @@ def standardize_stack(Z):
     time, and return Z: each matrix becomes its :func:`standardize_columns`
     output with its constant columns kept as zero columns."""
     for z in Z:
-        mean, std, keep = _column_stats(z)
+        mean, std, keep = column_stats(z)
         z -= mean
         np.divide(z, std, out=z, where=keep)
         z[:, ~keep] = 0.0

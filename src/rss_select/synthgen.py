@@ -24,7 +24,7 @@ _MAX_REJECTION_ROUNDS = 10**6
 # constraint accepts 1e-4 of draws (a triple sums to N(0, 3 noise_sd^2)): the
 # reference instance then needs about 1e5 rounds (17-31 s on 2 vCPUs). The
 # literal is -scipy.special.ndtri(1e-4) * 3**0.5, written out so that the
-# module does not import scipy
+# module needs no scipy
 _MAX_THRESHOLD_SDS = 6.441525506995479
 
 

@@ -612,6 +612,14 @@ def kmeanspp_reference(features, q, rng):
     return centers
 
 
+def cluster_sums_reference(features, assign, q):
+    """Each cluster's rows added one at a time in index order, from +0.0."""
+    sums = np.zeros((q, features.shape[1]))
+    for i, g in enumerate(assign):
+        sums[g] = sums[g] + features[i]
+    return sums
+
+
 def lloyd_reference(features, centers, max_iters):
     npts = features.shape[0]
     q = centers.shape[0]

@@ -138,10 +138,11 @@ def test_select_supports_every_method(workspace, tmp_path):
             assert loaded["count"].max() == 0
         meta = json.loads((out / "scores_meta.json").read_text())
         assert meta["method"] == method
-        if method in ("rss", "rand-l1"):  # the health of the K fits
+        if method in ("rss", "rand-l1"):  # the health of the K fits, and their seed
             assert meta["fits_not_converged"] == 0 and meta["solver_iterations"] > 0
+            assert meta["seed"] == meta["master_seed"] == 0
         else:
-            assert "solver_iterations" not in meta
+            assert "solver_iterations" not in meta and "seed" not in meta
 
 
 def test_select_rss_without_parcellation_fails(workspace, tmp_path, capsys):
@@ -224,6 +225,10 @@ def test_select_rand_l1_takes_its_row_fraction_from_alpha(workspace, tmp_path, c
                 "--weakness", "0.2"], "rss does not read --weakness, --lambda-ridge"),
     ("perm", ["--method", "rand-l1", "--tau", "0.4", "--block", "2x2x2"],
      "rand-l1 does not read --block"),
+    ("select", ["--method", "ttest", "--threads", "4", "--seed", "9"],
+     "ttest does not read --seed, --threads"),
+    ("select", ["--method", "l1", "--seed", "0"], "l1 does not read --seed"),
+    ("select", ["--method", "l2", "--threads", "1"], "l2 does not read --threads"),
 ])
 def test_selector_refuses_a_flag_its_method_does_not_read(workspace, tmp_path, capsys, command,
                                                           flags, unread):
@@ -624,15 +629,31 @@ def test_module_entry_point_runs():
     assert "rss" in proc.stdout
 
 
-def test_cli_start_up_imports_no_scipy():
-    """Importing the CLI and building its parser loads no scipy module: only
-    ``cluster`` imports scipy.sparse, at its first Lloyd step."""
-    code = ("import sys; import rss_select.cli as c; c.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_env_with_src())
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    """No command imports scipy: importing the CLI and building its parser
+    loads no scipy module, and with any scipy import made to fail, synth,
+    cluster, select with rss, rand-l1 and l1, and perm each exit 0."""
+    d = str(tmp_path)
+    data, parc = f"{d}/data/dataset", f"{d}/parc/parcellation.csv"
+    argvs = [
+        ["synth", "--out-dir", f"{d}/data", *_TINY],
+        ["cluster", "--dataset", data, "--q", "24", "--out-dir", f"{d}/parc"],
+        ["select", "--dataset", data, "--method", "rss", "--parcellation", parc, "--K", "4",
+         "--out-dir", f"{d}/rss"],
+        ["select", "--dataset", data, "--method", "rand-l1", "--K", "4", "--out-dir", f"{d}/rand-l1"],
+        ["select", "--dataset", data, "--method", "l1", "--out-dir", f"{d}/l1"],
+        ["perm", "--dataset", data, "--method", "rss", "--parcellation", parc, "--K", "4",
+         "--tau", "0.5", "--replicates", "2", "--out-dir", f"{d}/perm"],
+    ]
+    code = ("import json, sys; import rss_select.cli as c; c.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.modules['scipy'] = None; "
+            "print([c.main(argv) for argv in json.loads(sys.argv[1])])")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                          text=True, env=_env_with_src())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == str([0] * len(argvs))
 
 
 def test_console_entry_point_is_installed():

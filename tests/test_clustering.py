@@ -1,6 +1,9 @@
 """Parcellation tests: feature vectors, k-means behavior, and persistence."""
 
+import gc
 import json
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rss_select.clustering as clustering
 from rss_select.clustering import (
     ClusterConfig,
+    _choice,
+    _cluster_sums,
     _kmeanspp,
     _lloyd,
+    _sum_of_squares,
     build_feature_vectors,
     kmeans,
     load_parcellation,
@@ -19,6 +26,7 @@ from rss_select.clustering import (
     within_cluster_ss,
 )
 from rss_select.data import Dataset, GridGeometry, Parcellation, RngStream
+from rss_select.solver import standardize_columns
 from rss_select.synthgen import SynthConfig, generate_synthetic
 
 import oracles
@@ -87,6 +95,64 @@ def test_feature_vectors_spatial_weight_requires_geometry():
         build_feature_vectors(ds, spatial_weight=0.5)
     with pytest.raises(ValueError, match="non-negative"):
         build_feature_vectors(ds, spatial_weight=-0.1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 60), st.integers(0, 4),
+       st.sampled_from([0.0, 0.3, 2.0]), st.integers(1, 40))
+def test_feature_vectors_equal_standardized_columns_transposed(seed, n, p, constants, weight,
+                                                               block):
+    """Written block by block into the result, the vectors are the
+    transposed ``standardize_columns`` output with zero rows for constant
+    columns, and the weighted coordinates after it, bit for bit."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) * rng.uniform(0.1, 1e3, size=p) + rng.normal(size=p) * 1e2
+    X[:, rng.integers(p, size=constants)] = rng.choice([0.0, 4.2, -7.5])
+    dims = (p, 3, 2)
+    mask = np.column_stack([np.arange(p), rng.integers(3, size=p), rng.integers(2, size=p)])
+    ds = Dataset(X=X, y=np.where(np.arange(n) % 2, 1, -1), geometry=GridGeometry(dims, mask))
+    Z, _, _, keep = standardize_columns(X)
+    want = np.zeros((p, n))
+    want[keep] = Z.T
+    if weight > 0:
+        want = np.hstack([want, weight * (mask / np.maximum(np.asarray(dims) - 1, 1))])
+    with mock.patch.object(clustering, "_BLOCK_ENTRIES", block * n):
+        got = build_feature_vectors(ds, spatial_weight=weight)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(1, 9), st.integers(128, 4096))
+def test_sum_of_squares_in_pieces_is_numpy_sum(seed, rows, dim, piece):
+    """Summed in pieces of any size from numpy's 128-entry block up, the
+    squares add to numpy's sum of the whole squared matrix bit for bit."""
+    features = np.random.default_rng(seed).normal(size=(rows, dim)) * 10.0 ** (seed % 7 - 3)
+    with mock.patch.object(clustering, "_BLOCK_ENTRIES", piece):
+        assert _sum_of_squares(features) == float((features**2).sum())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 3))
+def test_choice_draws_the_index_and_stream_of_generator_choice(seed, size, zeros):
+    """The inverse-CDF draw picks the index ``Generator.choice(p=...)`` picks
+    and leaves the generator in the same state, also on weights with zeros
+    (at the ends, in runs, or all but one)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(size=size) ** 3
+    if zeros == 1:
+        weights[rng.random(size) < 0.5] = 0.0
+    elif zeros == 2:
+        weights[: size // 3] = weights[size - size // 3 :] = 0.0
+    elif zeros == 3:
+        weights[:] = 0.0
+    if not weights.any():
+        weights[rng.integers(size)] = 1.0
+    p = weights / weights.sum()
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(5):
+        idx = _choice(ours, p)
+        assert idx == theirs.choice(size, p=p) and weights[idx] > 0
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_kmeans_single_cluster_takes_everything():
@@ -259,6 +325,30 @@ def test_lloyd_repair_matches_reference_with_far_center(seed, npts, dim, q):
     assert_allclose(inertia, want_inertia, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 6), st.integers(1, 30),
+       st.booleans())
+def test_lloyd_sums_each_cluster_in_index_order(seed, npts, dim, q, far):
+    """The centroid update adds each cluster's rows in index order onto
+    +0.0, as a plain loop does, also after empty-cluster repair (a far
+    center), with signed zeros and with clusters of very different sizes:
+    one Lloyd step's WCSS equals the one from the loop's sums bit for bit."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(npts, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
+    features[rng.random(size=(npts, dim)) < 0.1] = -0.0
+    q = min(q, npts - 1) if far else min(q, npts)
+    centers = features[rng.choice(npts, q, replace=False)]
+    if far:
+        centers = np.vstack([centers, np.full(dim, 1e6)])
+    assign, inertia, _ = _lloyd(features, centers, 1)
+    counts = np.bincount(assign, minlength=centers.shape[0])
+    sums = oracles.cluster_sums_reference(features, assign, centers.shape[0])
+    assert _cluster_sums(features, assign, counts).tobytes() == sums.tobytes()
+    means = sums / counts[:, None]
+    wcss = float((features**2).sum()) - float((counts * (means**2).sum(axis=1)).sum())
+    assert inertia == max(0.0, wcss)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.integers(1, 5), st.integers(1, 3))
 def test_kmeans_tripled_rows_give_one_triple_per_cluster(seed, distinct, dim, restarts):
@@ -287,6 +377,24 @@ def test_kmeans_matches_reference_at_full_scale():
     (record,) = parc.lloyd_restarts
     assert_allclose(record["wcss"], want_inertia, rtol=1e-12)
     assert record["iterations"] == 15 and not record["converged"]
+
+
+def test_kmeans_leaves_no_reference_to_its_features():
+    """Once k-means returns, nothing it made refers to the feature matrix:
+    without the cycle collector, dropping the last reference frees it. A
+    reference cycle would keep every earlier matrix of a long-running
+    process alive until a collection happens to run."""
+    features = np.random.default_rng(13).normal(size=(300, 4))
+    ref = weakref.ref(features)
+    gc.disable()
+    try:
+        kmeans(features, ClusterConfig(q=5, seed=RngStream(2, 0), restarts=2))
+        with mock.patch.object(clustering, "_BLOCK_ENTRIES", 128):
+            _lloyd(features, features[:5], 3)  # the pieces of the sum of squares
+        del features
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_kmeans_records_lloyd_health_per_restart():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,38 @@ def test_load_rejects_row_count_mismatch(tmp_path):
     _patch_manifest(path, n=5, labels=[1, -1, 1, -1, 1])
     with pytest.raises(ContainerError, match="dimension mismatch"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("cut, extra", [(8, b""), (3, b""), (0, b"\0" * 8), (0, b"\0")])
+def test_load_names_the_payload_size_it_found(tmp_path, cut, extra):
+    """A payload shorter or longer than n x p floats fails with both sizes."""
+    path = _write_valid_container(tmp_path, np.random.default_rng(0))
+    raw = (path / "X.bin").read_bytes()
+    (path / "X.bin").write_bytes(raw[: len(raw) - cut] + extra)
+    found = len(raw) - 4 - cut + len(extra)
+    with pytest.raises(ContainerError, match=f"X.bin dimension mismatch: expected {len(raw) - 4} "
+                                             f"payload bytes, found {found}$"):
+        load_dataset(path)
+
+
+def test_container_round_trip_holds_no_copy_of_x(tmp_path):
+    """Saving writes X from its own buffer, and loading reads the payload
+    straight into the dataset's X: the traced peak of a load is at most
+    1.2 times X (X and the finiteness mask), that of a save a tenth of X."""
+    rng = np.random.default_rng(3)
+    dataset = Dataset(X=rng.normal(size=(40, 25000)), y=np.array([1, -1] * 20))
+    tracemalloc.start()
+    try:
+        save_dataset(dataset, tmp_path / "d")
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_dataset(tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1] - loaded.X.nbytes
+    finally:
+        tracemalloc.stop()
+    assert loaded.X.tobytes() == dataset.X.tobytes()
+    assert saved <= 0.1 * dataset.X.nbytes
+    assert peak <= 0.2 * dataset.X.nbytes
 
 
 def test_load_rejects_label_domain(tmp_path):

@@ -660,7 +660,7 @@ def test_column_stats_in_blocks_match_the_whole_matrix(monkeypatch):
     X = rng.normal(size=(37, 1000)) * rng.uniform(0.1, 1e4, size=1000)
     X += 1e3 * rng.normal(size=1000)
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 37 * 64)  # 15 blocks of 64 and one of 40
-    mean, std, _ = solver._column_stats(X)
+    mean, std, _ = solver.column_stats(X)
     assert mean.tobytes() == X.mean(axis=0).tobytes()
     assert std.tobytes() == X.std(axis=0).tobytes()
 
@@ -677,7 +677,7 @@ def test_subsample_stats_match_two_pass_statistics():
     X[rows[1], 13] = X[:, 13].mean()  # constant on subsample 1, at the shift
     mean, std, keep = solver._subsample_stats(X, rows)
     for b in range(4):
-        want_mean, want_std, want_keep = solver._column_stats(X[rows[b]])
+        want_mean, want_std, want_keep = solver.column_stats(X[rows[b]])
         np.testing.assert_array_equal(keep[b], want_keep)
         np.testing.assert_allclose(mean[b], want_mean, rtol=1e-13, atol=0)
         np.testing.assert_allclose(std[b, want_keep], want_std[want_keep], rtol=1e-9)
@@ -703,8 +703,8 @@ def test_implicit_statistics_match_two_pass_statistics_on_every_row_set(monkeypa
         recomputed.append(M.shape)
         return column_stats(M)
 
-    column_stats = solver._column_stats
-    monkeypatch.setattr(solver, "_column_stats", spy)
+    column_stats = solver.column_stats
+    monkeypatch.setattr(solver, "column_stats", spy)
     for k in (n, n - 1, n // 2, 3):
         rows = np.sort(np.stack([rng.choice(n, size=k, replace=False) for _ in range(3)]), axis=1)
         cols = solver._ImplicitColumns(X, rows, np.ones((3, 40)))
