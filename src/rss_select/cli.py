@@ -216,7 +216,6 @@ def cmd_select(args, out_dir):
         values = scores.normalized
         meta["fits_not_converged"] = scores.fits_not_converged
         meta["solver_iterations"] = scores.solver_iterations
-        meta["seed"] = settings["seed"]
     elif args.method == "l1":
         values = l1_weight_scores(dataset, SolverConfig(loss_weight=settings["loss_weight"]))
         meta = {"method": "l1", "loss_weight": settings["loss_weight"]}
@@ -252,6 +251,9 @@ def cmd_eval(args, out_dir):
         truth = load_ground_truth(args.truth)
         inputs[str(args.truth)] = sha256_file(args.truth)
         curve = precision_recall_curve(values, truth.features)
+        if not np.array_equal(loaded["coords"][truth.features], truth.coords):
+            raise ValueError(f"{args.scores} holds other voxels than {args.truth} at the planted "
+                             "features: the two come from different datasets")
         pr_path = out_dir / "pr_curve.csv"
         with open(pr_path, "w") as f:
             f.write("threshold,precision,recall\n")

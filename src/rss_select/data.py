@@ -122,7 +122,7 @@ class Dataset:
         if y.shape != (X.shape[0],):
             raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
         if not np.isin(y, (-1, 1)).all():
-            raise ValueError("labels must all be +1 or -1")
+            raise ValueError("label domain error: labels must all be +1 or -1")
         y = y.astype(np.int64)
         if self.geometry is not None and self.geometry.p != X.shape[1]:
             raise ValueError(
@@ -311,7 +311,9 @@ def load_dataset(path) -> Dataset:
     """Read a dataset container directory written by :func:`save_dataset`.
 
     Raises ContainerError on missing files, bad magic, version or dimension
-    mismatches, labels outside ±1, or non-finite matrix entries.
+    mismatches, and, naming the container, on whatever ``Dataset`` or
+    ``GridGeometry`` refuses: labels outside ±1, non-finite matrix entries,
+    mask coordinates off the grid.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -336,8 +338,6 @@ def load_dataset(path) -> Dataset:
     labels = manifest["labels"]
     if len(labels) != n:
         raise ContainerError(f"manifest lists {len(labels)} labels for n={n}")
-    if any(v not in (-1, 1) for v in labels):
-        raise ContainerError("label domain error: labels must all be +1 or -1")
     if manifest.get("dtype", "f64le") != "f64le":
         raise ContainerError(f"unsupported dtype {manifest.get('dtype')!r}")
     if manifest.get("layout", "row-major") != "row-major":
@@ -359,11 +359,8 @@ def load_dataset(path) -> Dataset:
             raise ContainerError(
                 f"X.bin dimension mismatch: expected {expected} payload bytes, found {found}"
             )
-    if not np.isfinite(X).all():
-        raise ContainerError("X.bin contains NaN or Inf entries")
 
-    geometry = None
-    grid_dims = manifest.get("grid_dims")
+    mask, grid_dims = None, manifest.get("grid_dims")
     mask_path = path / "mask.bin"
     if grid_dims is not None:
         if not mask_path.is_file():
@@ -374,6 +371,8 @@ def load_dataset(path) -> Dataset:
                 f"mask.bin dimension mismatch: expected {p * 3 * 4} bytes, found {len(mask_raw)}"
             )
         mask = np.frombuffer(mask_raw, dtype="<u4").reshape(p, 3).astype(np.int64)
-        geometry = GridGeometry(tuple(grid_dims), mask)
-
-    return Dataset(X=X, y=np.asarray(labels), geometry=geometry)
+    try:
+        geometry = None if mask is None else GridGeometry(tuple(grid_dims), mask)
+        return Dataset(X=X, y=np.asarray(labels), geometry=geometry)
+    except ValueError as e:
+        raise ContainerError(f"{path}: {e}") from e

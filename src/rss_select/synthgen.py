@@ -69,10 +69,12 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Planted discriminative features and which cluster each came from."""
+    """Planted discriminative features, which cluster each came from, and the
+    (x, y, z) voxel of each; coordinates are -1 when none are given."""
 
     features: np.ndarray
     cluster_ids: np.ndarray
+    coords: np.ndarray | None = None
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.int64)
@@ -81,8 +83,13 @@ class GroundTruth:
             raise ValueError("features and cluster_ids must be matching 1-D arrays")
         if features.size and (np.diff(features) <= 0).any():
             raise ValueError("features must be strictly increasing")
+        coords = np.full((features.size, 3), -1) if self.coords is None else self.coords
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.shape != (features.size, 3):
+            raise ValueError(f"coords must have shape ({features.size}, 3), got {coords.shape}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "cluster_ids", cluster_ids)
+        object.__setattr__(self, "coords", coords)
 
 
 def ellipsoid_mask(dims, mask_size: int) -> np.ndarray:
@@ -203,19 +210,24 @@ def generate_synthetic(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     feats = np.concatenate(columns)
     ids = np.concatenate([np.full(c.size, k + 1, dtype=np.int64) for k, c in enumerate(columns)])
     order = np.argsort(feats)
-    truth = GroundTruth(features=feats[order], cluster_ids=ids[order])
+    feats = feats[order]
+    truth = GroundTruth(features=feats, cluster_ids=ids[order], coords=geometry.mask[feats])
     return dataset, truth
 
 
+_TRUTH_HEADER = ("feature", "planted_cluster", "x", "y", "z")
+
+
 def save_ground_truth(truth: GroundTruth, path) -> None:
+    """Write one row per planted feature: feature,planted_cluster,x,y,z."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["feature", "planted_cluster"])
-        for feat, cid in zip(truth.features, truth.cluster_ids):
-            writer.writerow([int(feat), int(cid)])
+        writer.writerow(_TRUTH_HEADER)
+        for feat, cid, xyz in zip(truth.features, truth.cluster_ids, truth.coords):
+            writer.writerow([int(feat), int(cid), *map(int, xyz)])
 
 
 def load_ground_truth(path) -> GroundTruth:
-    rows = read_csv_rows(path, ("feature", "planted_cluster"), (int, int))
-    features, cluster_ids = np.array(sorted(rows), dtype=np.int64).T.copy()
-    return GroundTruth(features=features, cluster_ids=cluster_ids)
+    rows = read_csv_rows(path, _TRUTH_HEADER, (int,) * len(_TRUTH_HEADER))
+    table = np.array(sorted(rows), dtype=np.int64)
+    return GroundTruth(features=table[:, 0], cluster_ids=table[:, 1], coords=table[:, 2:])

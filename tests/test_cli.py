@@ -140,7 +140,7 @@ def test_select_supports_every_method(workspace, tmp_path):
         assert meta["method"] == method
         if method in ("rss", "rand-l1"):  # the health of the K fits, and their seed
             assert meta["fits_not_converged"] == 0 and meta["solver_iterations"] > 0
-            assert meta["seed"] == meta["master_seed"] == 0
+            assert "seed" not in meta and meta["master_seed"] == 0
         else:
             assert "solver_iterations" not in meta and "seed" not in meta
 
@@ -368,6 +368,23 @@ def test_eval_accuracy_rejects_scores_of_another_dataset(workspace, tmp_path, ca
     assert code == 1
     assert capsys.readouterr().err == "error: scores must align with dataset features\n"
     assert not (out / "accuracy.json").exists()
+
+
+def test_eval_truth_rejects_a_truth_file_of_another_dataset(workspace, tmp_path, capsys):
+    """The planted features of a 200-voxel synth all index the 400-voxel
+    workspace's scores, but ground_truth.csv records each one's voxel, and
+    the scores hold other voxels there: eval refuses the pair."""
+    other = tmp_path / "other"
+    assert main(["synth", "--out-dir", str(other), "--dims", "8x8x4", "--mask", "200",
+                 "--clusters", "5,5,5,5,5", "--n-per-group", "10"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "pr"
+    code = main(["eval", "--scores", str(workspace["rss_scores"]),
+                 "--truth", str(other / "ground_truth.csv"), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "different datasets" in err
+    assert not (out / "pr_curve.csv").exists()
 
 
 def test_eval_accuracy_rejects_training_labels_of_one_class(tmp_path, capsys):

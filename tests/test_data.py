@@ -182,8 +182,9 @@ def test_load_rejects_nan_payload(tmp_path):
     body = np.frombuffer((path / "X.bin").read_bytes()[4:], dtype="<f8").copy()
     body[5] = np.nan
     (path / "X.bin").write_bytes(b"RSS1" + body.tobytes())
-    with pytest.raises(ContainerError, match="NaN"):
+    with pytest.raises(ContainerError, match="NaN") as refused:
         load_dataset(path)
+    assert str(refused.value).startswith(f"{path}: ")  # Dataset's check, naming the container
 
 
 def test_load_rejects_missing_pieces(tmp_path):

@@ -91,12 +91,16 @@ def test_row_subsample_frequencies_are_uniform():
 
 
 def test_row_subsample_rejects_empty_draws():
+    """Zero rows is refused by name; a fraction above 1, which no config
+    passes, by numpy's sampler."""
     with pytest.raises(ValueError, match="zero"):
         draw_row_subsample(10, 0.04, RngStream(0, 0).generator())
     with pytest.raises(ValueError, match="alpha"):
         draw_row_subsample(10, 0.0, RngStream(0, 0).generator())
-    with pytest.raises(ValueError, match="n must be positive"):
+    with pytest.raises(ValueError, match="selects zero of 0 rows"):
         draw_row_subsample(0, 0.5, RngStream(0, 0).generator())
+    with pytest.raises(ValueError):
+        draw_row_subsample(10, 1.5, RngStream(0, 0).generator())
 
 
 def test_cluster_quotas_floor_and_rounding():
@@ -209,22 +213,26 @@ def test_block_subsample_inclusion_frequency_and_adjacency():
     assert joint_freq[adjacent].mean() > joint_freq[distant].mean() + 0.01
 
 
-def test_block_draw_rejects_quotas_outside_cluster_sizes():
-    """A quota above its cluster's size can never be met and a quota of 0
-    would silently pick nothing; both are refused before any block is drawn."""
-    geometry = _full_grid_geometry((8, 8, 1))
-    parc = _quadrant_parcellation(geometry)  # four clusters of 16
-    cover = BlockCover(geometry, (2, 2, 1))
-    gen = RngStream(4, 0).generator()
-    state = gen.bit_generator.state
-    for quotas, bad in [([4, 4, 17, 4], "cluster 2"), ([4, 0, 4, 4], "cluster 1")]:
-        with pytest.raises(ValueError, match=bad):
-            cover.draw(gen, parc, np.array(quotas))
-    with pytest.raises(ValueError, match="shape"):
-        cover.draw(gen, parc, np.array([4, 4, 4]))
-    assert gen.bit_generator.state == state
-    picked = _by_cluster(cover.draw(gen, parc, np.array([16, 1, 16, 1])), [16, 1, 16, 1])
-    assert [g.size for g in picked] == [16, 1, 16, 1]
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=20),
+       st.floats(0, 1, exclude_min=True), st.tuples(*[st.integers(1, 3)] * 3),
+       st.integers(0, 2**32 - 1))
+def test_cluster_quotas_fit_their_clusters_and_block_draws_meet_them(sizes, beta, block, seed):
+    """Block draws take their quotas unchecked, so the quotas of
+    ``cluster_quotas`` must always be in [1, cluster size]; a draw with them
+    picks exactly ``quotas[g]`` distinct voxels of each cluster g, in turn."""
+    rng = np.random.default_rng(seed)
+    dims = (12, 10, 10)
+    full = np.array(list(itertools.product(*(range(d) for d in dims))))
+    geometry = GridGeometry(dims=dims, mask=full[rng.choice(full.shape[0], sum(sizes), replace=False)])
+    parc = Parcellation(assignment=rng.permutation(np.repeat(np.arange(len(sizes)), sizes)),
+                        q=len(sizes))
+    quotas = cluster_quotas(parc, beta)
+    assert ((quotas >= 1) & (quotas <= sizes)).all()
+    picks = BlockCover(geometry, block).draw(RngStream(seed, 0).generator(), parc, quotas)
+    assert np.unique(picks).size == picks.size
+    for g, picked in enumerate(_by_cluster(picks, quotas)):
+        assert picked.size == quotas[g] and (parc.assignment[picked] == g).all()
 
 
 @st.composite

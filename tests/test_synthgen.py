@@ -220,13 +220,15 @@ def test_rejection_sampling_guard_trips(monkeypatch):
 
 
 def test_ground_truth_roundtrip(tmp_path):
-    _, truth = generate_synthetic(SMALL)
+    dataset, truth = generate_synthetic(SMALL)
+    assert_array_equal(truth.coords, dataset.geometry.mask[truth.features])
     path = tmp_path / "ground_truth.csv"
     save_ground_truth(truth, path)
-    assert path.read_text().splitlines()[0] == "feature,planted_cluster"
+    assert path.read_text().splitlines()[0] == "feature,planted_cluster,x,y,z"
     back = load_ground_truth(path)
     assert_array_equal(back.features, truth.features)
     assert_array_equal(back.cluster_ids, truth.cluster_ids)
+    assert_array_equal(back.coords, truth.coords)
 
 
 def test_ground_truth_file_validation(tmp_path):
@@ -238,9 +240,10 @@ def test_ground_truth_file_validation(tmp_path):
 
 @pytest.mark.parametrize("text, line", [
     ("", "line 1: unexpected header"),
-    ("feature,planted_cluster\n", "line 2: no rows"),
-    ("feature,planted_cluster\n3,1\n4\n", "line 3: 1 fields, expected 2"),
-    ("feature,planted_cluster\n3,1\n\n", "line 3: 0 fields"),
+    ("feature,planted_cluster\n3,1\n", "line 1: unexpected header"),
+    ("feature,planted_cluster,x,y,z\n", "line 2: no rows"),
+    ("feature,planted_cluster,x,y,z\n3,1,0,0,0\n4,1,0,0\n", "line 3: 4 fields, expected 5"),
+    ("feature,planted_cluster,x,y,z\n3,1,0,0,0\n\n", "line 3: 0 fields"),
 ])
 def test_ground_truth_names_the_file_and_line_of_a_bad_row(tmp_path, text, line):
     path = tmp_path / "ground_truth.csv"
@@ -254,3 +257,6 @@ def test_ground_truth_type_constraints():
         GroundTruth(features=np.array([3, 1]), cluster_ids=np.array([1, 2]))
     with pytest.raises(ValueError, match="matching"):
         GroundTruth(features=np.array([1, 2]), cluster_ids=np.array([1]))
+    assert_array_equal(GroundTruth(features=[2, 5], cluster_ids=[1, 1]).coords, -np.ones((2, 3)))
+    with pytest.raises(ValueError, match="coords"):
+        GroundTruth(features=np.array([1, 2]), cluster_ids=np.array([1, 1]), coords=np.zeros((2, 2)))
