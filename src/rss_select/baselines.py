@@ -90,7 +90,6 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     the result.
     """
     X, y = dataset.X, dataset.y.astype(np.float64)
-    eps = config.solver.support_epsilon
 
     def draw(gens):
         return [(draw_row_subsample(dataset.n, config.alpha, gen),
@@ -99,6 +98,6 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     def fit(draws):
         sols = fit_l1_batch(X, y, np.stack([rows for rows, _ in draws]), config.solver,
                             [scale for _, scale in draws])
-        return [(sol.support(eps), sol) for sol in sols]
+        return [(sol.support(), sol) for sol in sols]
 
     return resample(dataset.p, config.K, config.master_seed, draw, fit, dataset.p, threads)

@@ -223,6 +223,9 @@ class StabilityScores:
         return self.counts / self.K
 
 
+SUPPORT_EPSILON = 1e-8  # a weight with |w| at or below this is off the support
+
+
 @dataclass(frozen=True)
 class SolverSolution:
     """Weights, intercept, and optimality certificate returned by a solver fit."""
@@ -247,9 +250,9 @@ class SolverSolution:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", float(self.c))
 
-    def support(self, epsilon: float) -> np.ndarray:
-        """Indices with |w_i| > epsilon."""
-        return np.flatnonzero(np.abs(self.w) > epsilon)
+    def support(self) -> np.ndarray:
+        """Indices with |w_i| > ``SUPPORT_EPSILON``."""
+        return np.flatnonzero(np.abs(self.w) > SUPPORT_EPSILON)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, SolverSolution
+from .data import SUPPORT_EPSILON, Dataset, SolverSolution
 
 # a column whose |mean| exceeds this many stds is screened from its
 # built standardized copy instead of implicitly (see _ImplicitColumns); a
@@ -98,6 +98,10 @@ _NEWTON_SHIFT = 1e-8
 # Newton systems are padded to a multiple of this width, so that the systems
 # of a stack share a few widths and are solved in a few stacked calls
 _NEWTON_WIDTH = 8
+# the L1 fit's stop rule, on its KKT residual and its accepted iterations
+# (proximal and Newton alike, summed over the working-set rounds of a fit of X)
+_L1_TOL_KKT = 1e-6
+_L1_MAX_ITERS = 10000
 _L2_MAX_ITERS = 100
 _L2_TOL_KKT = 1e-6
 # the rule that ended a problem in _prox_solve, by its stop code
@@ -107,34 +111,14 @@ _KKT, _NO_PROGRESS, _MAX_ITERS, _ONE_CLASS = range(len(_STOP_RULES))
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the L1 logistic fit.
-
-    Parameters
-    ----------
-    loss_weight : float
-        Positive weight on the logistic loss relative to the L1 penalty.
-    max_iters : int
-        Cap on accepted iterations, proximal and Newton steps alike; a fit
-        of row subsamples of X sums them over its working-set rounds.
-    tol_kkt : float
-        Convergence threshold on the first-order optimality residual.
-    support_epsilon : float
-        Weights with absolute value at or below this count as zero when
-        reading off the support.
-    """
+    """The L1 fit's one setting: ``loss_weight``, the positive weight on the
+    logistic loss relative to the L1 penalty."""
 
     loss_weight: float
-    max_iters: int = 10000
-    tol_kkt: float = 1e-6
-    support_epsilon: float = 1e-8
 
     def __post_init__(self):
         if not (self.loss_weight > 0 and math.isfinite(self.loss_weight)):
             raise ValueError("loss_weight must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not (0 < self.tol_kkt < math.inf and 0 <= self.support_epsilon < math.inf):
-            raise ValueError("tol_kkt must be positive, support_epsilon non-negative, both finite")
 
 
 def column_stats(X):
@@ -168,8 +152,7 @@ def standardize_columns(X: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     mean, std, keep = column_stats(X)
-    Z = (X[:, keep] - mean[keep]) / std[keep]
-    return Z, mean, std, keep
+    return apply_standardization(X, mean, std, keep), mean, std, keep
 
 
 def apply_standardization(X: np.ndarray, mean, std, keep) -> np.ndarray:
@@ -619,7 +602,7 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
     labels hold one class is never fitted: not converged, residual inf.
     """
     B, k = y.shape
-    lw, tol, eps = cfg.loss_weight, cfg.tol_kkt, cfg.support_epsilon
+    lw, tol, eps = cfg.loss_weight, _L1_TOL_KKT, SUPPORT_EPSILON
     cols = _ImplicitColumns(X, rows, scale)
     # log(n_pos / n_neg) is the intercept's optimum at w = 0, so the first
     # screen already sees the gradients of the optimal empty model
@@ -645,7 +628,7 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
         for i, b in enumerate(live):
             viol[i, active[b]] = _l1_violation(on_active[i], weights[b], eps)
         kkt[live] = np.maximum(viol.max(axis=1), np.abs(gc))
-        going = np.flatnonzero((kkt[live] > tol) & (iters[live] < cfg.max_iters))
+        going = np.flatnonzero((kkt[live] > tol) & (iters[live] < _L1_MAX_ITERS))
         if not going.size:
             break
         for i in going:
@@ -669,7 +652,7 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
             Za[i, :, : active[b].size] = cols.columns(b, active[b])
             wa[i, : active[b].size] = weights[b]
         wa, c[live], _, _, _, it_inner, _ = _prox_solve(
-            Za, y[live], lw, wa, c[live], np.maximum(cfg.max_iters - iters[live], 1),
+            Za, y[live], lw, wa, c[live], np.maximum(_L1_MAX_ITERS - iters[live], 1),
             0.5 * tol, eps)
         iters[live] += it_inner
         for i, b in enumerate(live):
@@ -718,7 +701,7 @@ def fit_l1_standardized(Z, y, config: SolverConfig) -> list[SolverSolution]:
     only reads Z."""
     c0 = np.array([_initial_intercept(v) for v in y])
     *fit, _ = _prox_solve(Z, y, config.loss_weight, np.zeros((Z.shape[0], Z.shape[2])), c0,
-                          config.max_iters, config.tol_kkt, config.support_epsilon)
+                          _L1_MAX_ITERS, _L1_TOL_KKT, SUPPORT_EPSILON)
     return _solutions(*fit)
 
 
@@ -728,16 +711,16 @@ def fit_l1_batch(X, y, rows, config: SolverConfig, scale=None) -> list[SolverSol
 
     ``X`` (n, m) and ``y`` (n,) are float64 inputs already checked by the
     :class:`Dataset` rules; ``rows`` (B, k) holds each subsample's sorted row
-    indices and ``scale``, if given, each fit's m column multipliers (B
-    arrays, or one (B, m) array). Fit b agrees with ``fit_l1_logistic(
-    X[rows[b]], y[rows[b]], config, scale[b])`` to the solver tolerance, at
-    any column count (see the module docstring).
+    indices and ``scale``, if given, each fit's m multipliers of its
+    standardized columns (B arrays, or one (B, m) array): a column scaled by
+    u < 1 is penalized more. Fit b agrees with the fit of its rows alone to
+    the solver tolerance, at any column count (see the module docstring).
     """
     scale = [np.ones(X.shape[1])] * rows.shape[0] if scale is None else scale
     return _solutions(*_fit_l1_working_set(X, y[rows], rows, config, scale))
 
 
-def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolution:
+def fit_l1_logistic(X, y, config: SolverConfig) -> SolverSolution:
     """Fit the L1-penalized logistic model.
 
     Parameters
@@ -748,11 +731,7 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
     y : ndarray of shape (n,)
         Labels in {+1, -1}.
     config : SolverConfig
-        Loss weight and stopping tolerances.
-    column_scale : ndarray of shape (m,), optional
-        Positive per-column multipliers applied after standardization.
-        Scaling a column by u < 1 penalizes it more heavily, which is how the
-        randomized reweighting baseline perturbs the penalty.
+        Loss weight.
 
     Returns
     -------
@@ -764,15 +743,7 @@ def fit_l1_logistic(X, y, config: SolverConfig, column_scale=None) -> SolverSolu
         returns zero weights, not converged, with residual inf.
     """
     X, y = _validate_problem(X, y)
-    m = X.shape[1]
-    if column_scale is not None:
-        column_scale = np.asarray(column_scale, dtype=np.float64)
-        if column_scale.shape != (m,):
-            raise ValueError(f"column_scale must have shape ({m},)")
-        if not np.isfinite(column_scale).all() or (column_scale <= 0).any():
-            raise ValueError("column_scale entries must be positive and finite")
-        column_scale = column_scale[None]
-    return fit_l1_batch(X, y, np.arange(X.shape[0])[None], config, column_scale)[0]
+    return fit_l1_batch(X, y, np.arange(X.shape[0])[None], config)[0]
 
 
 def fit_l2_logistic(X, y, lambda_ridge) -> SolverSolution:

@@ -135,9 +135,6 @@ class BlockCover:
     def n_anchors(self) -> int:
         return self.anchor_ids.size
 
-    def voxels_of(self, anchor_index: int) -> np.ndarray:
-        return self.features[self.starts[anchor_index] : self.starts[anchor_index + 1]]
-
     def draw(self, gen: np.random.Generator, parcellation: Parcellation,
              quotas: np.ndarray) -> np.ndarray:
         """Accumulate random blocks until every cluster quota is met, then trim.
@@ -383,7 +380,6 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         memo.update(key=key, held=(X, parcellation, geometry), cover=cover, batches={})
     cover = memo["cover"]
     quotas = cluster_quotas(parcellation, config.beta)
-    eps = config.solver.support_epsilon
 
     def draw(gens):
         draws = [draw_iteration(gen, dataset.n, config.alpha, parcellation, quotas, cover)
@@ -402,7 +398,7 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
     def credited(picks, sol):
         # every picked feature of every selected cluster
         chosen = np.zeros(parcellation.q, dtype=bool)
-        chosen[sol.support(eps)] = True
+        chosen[sol.support()] = True
         return picks[np.repeat(chosen, quotas)]
 
     entries = round_nearest(config.alpha * dataset.n) * parcellation.q

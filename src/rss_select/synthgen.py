@@ -70,11 +70,11 @@ class SynthConfig:
 @dataclass(frozen=True)
 class GroundTruth:
     """Planted discriminative features, which cluster each came from, and the
-    (x, y, z) voxel of each; coordinates are -1 when none are given."""
+    (x, y, z) voxel of each."""
 
     features: np.ndarray
     cluster_ids: np.ndarray
-    coords: np.ndarray | None = None
+    coords: np.ndarray
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.int64)
@@ -83,8 +83,7 @@ class GroundTruth:
             raise ValueError("features and cluster_ids must be matching 1-D arrays")
         if features.size and (np.diff(features) <= 0).any():
             raise ValueError("features must be strictly increasing")
-        coords = np.full((features.size, 3), -1) if self.coords is None else self.coords
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(self.coords, dtype=np.int64)
         if coords.shape != (features.size, 3):
             raise ValueError(f"coords must have shape ({features.size}, 3), got {coords.shape}")
         object.__setattr__(self, "features", features)

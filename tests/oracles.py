@@ -281,12 +281,15 @@ def prox_solve_reference(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_
     return w, c, F, kkt, kkt <= tol_kkt, it
 
 
-def fit_l1_working_set_reference(X, y, cfg, column_scale):
+def fit_l1_working_set_reference(X, y, loss_weight, column_scale, max_iters, tol_kkt,
+                                 support_epsilon):
     """The wide L1 fit as first shipped: build the whole standardized, scaled
     matrix Z, then grow a working set from KKT screening of ``Z'g``, adding at
     most 512 violators per round, each restricted problem solved by
-    :func:`prox_solve_reference`. Returns ``(w, c, objective, kkt,
-    converged, iters)`` with ``w`` over all columns of X.
+    :func:`prox_solve_reference`, until the KKT residual is at most
+    ``tol_kkt`` or ``max_iters`` iterations are spent over all rounds.
+    Returns ``(w, c, objective, kkt, converged, iters)`` with ``w`` over all
+    columns of X.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -303,8 +306,7 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale):
     n, m = Z.shape
     w = np.zeros(m)
     _, c, _, _, _, it0 = prox_solve_reference(
-        Z[:, :0], y, cfg.loss_weight, np.zeros(0), c,
-        cfg.max_iters, cfg.tol_kkt, cfg.support_epsilon)
+        Z[:, :0], y, loss_weight, np.zeros(0), c, max_iters, tol_kkt, support_epsilon)
     iters_total = it0
     active = np.zeros(0, dtype=np.int64)
     mw = np.zeros(n)
@@ -313,32 +315,31 @@ def fit_l1_working_set_reference(X, y, cfg, column_scale):
     for _ in range(100):
         margins = y * (mw + c)
         gvec = -(y * expit(-margins))
-        gw = cfg.loss_weight * (Z.T @ gvec)
-        gc = cfg.loss_weight * float(gvec.sum())
-        viol = _l1_violation_reference(gw, w, cfg.support_epsilon)
+        gw = loss_weight * (Z.T @ gvec)
+        gc = loss_weight * float(gvec.sum())
+        viol = _l1_violation_reference(gw, w, support_epsilon)
         kkt = max(float(viol.max()), abs(gc))
-        if kkt <= cfg.tol_kkt:
+        if kkt <= tol_kkt:
             converged = True
             break
-        if iters_total >= cfg.max_iters:
+        if iters_total >= max_iters:
             break
         outside = viol.copy()
         outside[active] = 0.0
-        candidates = np.flatnonzero(outside > cfg.tol_kkt)
+        candidates = np.flatnonzero(outside > tol_kkt)
         if candidates.size > 512:
             top = np.argpartition(outside[candidates], -512)[-512:]
             candidates = candidates[top]
         if candidates.size:
             active = np.union1d(active, candidates)
         wa, c, _, _, _, it_inner = prox_solve_reference(
-            Z[:, active], y, cfg.loss_weight, w[active], c,
-            max(cfg.max_iters - iters_total, 1), 0.5 * cfg.tol_kkt,
-            cfg.support_epsilon)
+            Z[:, active], y, loss_weight, w[active], c,
+            max(max_iters - iters_total, 1), 0.5 * tol_kkt, support_epsilon)
         iters_total += it_inner
         w[:] = 0.0
         w[active] = wa
         mw = Z[:, active] @ wa
-    objective = cfg.loss_weight * float(np.logaddexp(0.0, -(y * (mw + c))).sum())
+    objective = loss_weight * float(np.logaddexp(0.0, -(y * (mw + c))).sum())
     objective += float(np.abs(w).sum())
     w_full = np.zeros(X.shape[1])
     w_full[keep] = w

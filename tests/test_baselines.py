@@ -161,8 +161,9 @@ def _rl1_manual_counts(ds, config):
         gen = RngStream(config.master_seed, k).generator()
         rows = draw_row_subsample(ds.n, config.alpha, gen)
         scale = gen.uniform(config.weakness, 1.0, size=ds.p)
-        sol = fit_l1_logistic(ds.X[rows], ds.y[rows], config.solver, column_scale=scale)
-        counts[sol.support(config.solver.support_epsilon)] += 1
+        sol, = solver.fit_l1_batch(ds.X[rows], ds.y[rows].astype(np.float64),
+                                   np.arange(rows.size)[None], config.solver, scale[None])
+        counts[sol.support()] += 1
     return counts
 
 
@@ -191,7 +192,7 @@ def test_randomized_l1_weakness_one_is_pure_row_subsampling():
         rows = draw_row_subsample(ds.n, config.alpha, gen)
         gen.uniform(1.0, 1.0, size=ds.p)  # stream position, scaling is identity
         sol = fit_l1_logistic(ds.X[rows], ds.y[rows], solver)
-        plain[sol.support(solver.support_epsilon)] += 1
+        plain[sol.support()] += 1
     assert_array_equal(scores.counts, plain)
 
 
@@ -262,12 +263,14 @@ def test_randomized_l1_batches_take_the_solver_rule(record_batches, p):
     assert sizes == [64, 6]
 
 
-def test_randomized_l1_widespread_non_convergence_aborts():
+def test_randomized_l1_widespread_non_convergence_aborts(monkeypatch):
     rng = np.random.default_rng(15)
     ds = _dataset(rng.normal(size=(20, 12)))
-    strangled = SolverConfig(loss_weight=0.5, max_iters=1, tol_kkt=1e-12)
+    monkeypatch.setattr(solver, "_L1_MAX_ITERS", 1)  # strangled fits
+    monkeypatch.setattr(solver, "_L1_TOL_KKT", 1e-12)
+    config = RandL1Config(solver=SolverConfig(loss_weight=0.5), K=10, master_seed=4)
     with pytest.raises(RuntimeError, match="failed to converge"):
-        randomized_l1(ds, RandL1Config(solver=strangled, K=10, master_seed=4))
+        randomized_l1(ds, config)
 
 
 def test_rand_l1_config_validation():

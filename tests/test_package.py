@@ -1,6 +1,7 @@
 """Package-level structure checks."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import rss_select
@@ -26,3 +27,19 @@ def test_modules_import_no_private_names_from_siblings():
                 offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                               for alias in node.names if _private(alias.name)]
     assert offenders == []
+
+
+def test_every_config_field_is_set_by_the_cli():
+    """Every init field of the public configs is passed as a keyword by some
+    call of its class in cli.py: a field that no command sets is an option
+    with no caller."""
+    configs = [rss_select.SolverConfig, rss_select.StabilityConfig, rss_select.RandL1Config,
+               rss_select.ClusterConfig, rss_select.SynthConfig]
+    passed = {cls.__name__: set() for cls in configs}
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in passed:
+            passed[node.func.id].update(kw.arg for kw in node.keywords)
+    unset = [f"{cls.__name__}.{f.name}" for cls in configs for f in dataclasses.fields(cls)
+             if f.init and f.name not in passed[cls.__name__]]
+    assert unset == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rss_select import solver
+from rss_select.data import SUPPORT_EPSILON
 from rss_select.solver import (
     SolverConfig,
     apply_standardization,
@@ -35,6 +36,13 @@ def _random_instance(rng):
     if np.all(y == y[0]):
         y[0] = -y[0]
     return X, y
+
+
+def _fit_scaled(X, y, cfg, scale):
+    """The L1 fit of (X, y) with its standardized columns multiplied by
+    ``scale``, made as a batch of one fit over every row."""
+    rows = np.arange(X.shape[0])[None]
+    return solver.fit_l1_batch(X, np.asarray(y, dtype=np.float64), rows, cfg, scale[None])[0]
 
 
 def _pad_with_noise(X, pad, seed):
@@ -118,7 +126,7 @@ def test_tiny_loss_weight_gives_empty_support():
     X, y = _random_instance(rng)
     sol = fit_l1_logistic(X, y, SolverConfig(loss_weight=1e-12))
     assert np.abs(sol.w).sum() <= 1e-6
-    assert sol.support(1e-8).size == 0
+    assert sol.support().size == 0
 
 
 def test_all_zero_matrix_balanced_labels():
@@ -157,12 +165,14 @@ def test_random_instances_match_grid_oracle():
             assert sol.kkt_residual <= 1e-6
 
 
-def test_objective_never_increases_with_more_iterations():
+def test_objective_never_increases_with_more_iterations(monkeypatch):
     rng = np.random.default_rng(9)
     X, y = _random_instance(rng)
     objs = []
     for cap in (1, 2, 3, 5, 8, 13, 21, 40, 80):
-        sol = fit_l1_logistic(X, y, SolverConfig(loss_weight=3.0, max_iters=cap))
+        monkeypatch.setattr(solver, "_L1_MAX_ITERS", cap)
+        sol = fit_l1_logistic(X, y, SolverConfig(loss_weight=3.0))
+        assert sol.n_iters <= cap
         objs.append(sol.objective)
     for a, b in zip(objs, objs[1:]):
         assert b <= a + 1e-12 * max(1.0, abs(a))
@@ -188,7 +198,7 @@ def test_column_scale_of_ones_changes_nothing(pad):
     X = _pad_with_noise(X, pad, 41)
     cfg = SolverConfig(loss_weight=1.5)
     a = fit_l1_logistic(X, y, cfg)
-    b = fit_l1_logistic(X, y, cfg, column_scale=np.ones(X.shape[1]))
+    b = _fit_scaled(X, y, cfg, np.ones(X.shape[1]))
     np.testing.assert_array_equal(a.w, b.w)
     assert a.c == b.c
 
@@ -204,11 +214,11 @@ def test_column_scale_can_push_a_column_out_of_the_support(pad):
     X = _pad_with_noise(X, pad, 42)
     cfg = SolverConfig(loss_weight=2.0)
     full = fit_l1_logistic(X, y, cfg)
-    assert 0 in full.support(cfg.support_epsilon)
+    assert 0 in full.support()
     scale = np.ones(X.shape[1])
     scale[0] = 0.01
-    damped = fit_l1_logistic(X, y, cfg, column_scale=scale)
-    assert 0 not in damped.support(cfg.support_epsilon)
+    damped = _fit_scaled(X, y, cfg, scale)
+    assert 0 not in damped.support()
 
 
 def test_solver_input_validation():
@@ -218,17 +228,6 @@ def test_solver_input_validation():
         fit_l1_logistic(np.zeros((2, 2)), np.array([1]), SolverConfig(loss_weight=1.0))
     with pytest.raises(ValueError):
         SolverConfig(loss_weight=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(loss_weight=1.0, max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(loss_weight=1.0, tol_kkt=-1.0)
-    for tol_kkt in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol_kkt must be positive"):
-            SolverConfig(loss_weight=1.0, tol_kkt=tol_kkt)
-    for eps in (-1e-8, math.nan, math.inf):
-        with pytest.raises(ValueError, match="support_epsilon non-negative, both finite"):
-            SolverConfig(loss_weight=1.0, support_epsilon=eps)
-    assert SolverConfig(loss_weight=1.0, support_epsilon=0.0).support_epsilon == 0.0
 
 
 # ----------------------------------------------------------------- L2 fits
@@ -312,7 +311,7 @@ def test_standardization_uses_population_variance():
     np.testing.assert_allclose(Z[:, 0], [-1.0, 1.0])
 
 
-def test_working_set_path_agrees_with_direct_path():
+def test_working_set_path_agrees_with_direct_path(monkeypatch):
     """Fits of X route through gradient screening; the answer must be the
     same as the direct kernel's on a stack of the support columns alone."""
     rng = np.random.default_rng(11)
@@ -321,10 +320,11 @@ def test_working_set_path_agrees_with_direct_path():
     y = np.where(X_signal[:, 0] - X_signal[:, 2] + 0.5 * rng.normal(size=n) > 0, 1, -1)
     X_noise = rng.normal(size=(n, 1400))
     X = np.hstack([X_signal, X_noise])
-    cfg = SolverConfig(loss_weight=0.8, tol_kkt=1e-9)
+    monkeypatch.setattr(solver, "_L1_TOL_KKT", 1e-9)
+    cfg = SolverConfig(loss_weight=0.8)
     screened = fit_l1_logistic(X, y, cfg)
-    assert screened.kkt_residual <= cfg.tol_kkt
-    support = np.flatnonzero(np.abs(screened.w) > cfg.support_epsilon)
+    assert screened.kkt_residual <= 1e-9
+    support = screened.support()
     assert support.size > 0
     direct, = solver.fit_l1_standardized(solver.standardize_stack(X[:, support][None]),
                                          y[None].astype(np.float64), cfg)
@@ -389,13 +389,16 @@ def test_working_set_path_matches_explicit_reference(instance):
     """Implicit standardization and the n-sized first screen must reach the
     answer of the explicit-Z working set with 512-column screens."""
     X, y, loss_weight, scale, const = instance
-    cfg = SolverConfig(loss_weight=loss_weight, tol_kkt=1e-7)
-    sol = fit_l1_logistic(X, y, cfg, column_scale=scale)
-    want_w, want_c, _, _, want_conv, _ = oracles.fit_l1_working_set_reference(X, y, cfg, scale)
+    cfg = SolverConfig(loss_weight=loss_weight)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body: no fixture
+        mp.setattr(solver, "_L1_TOL_KKT", 1e-7)
+        sol = fit_l1_logistic(X, y, cfg) if scale is None else _fit_scaled(X, y, cfg, scale)
+    want_w, want_c, _, _, want_conv, _ = oracles.fit_l1_working_set_reference(
+        X, y, loss_weight, scale, solver._L1_MAX_ITERS, 1e-7, SUPPORT_EPSILON)
     assert want_conv and sol.converged
-    assert sol.kkt_residual <= cfg.tol_kkt
-    np.testing.assert_array_equal(sol.support(cfg.support_epsilon),
-                                  np.flatnonzero(np.abs(want_w) > cfg.support_epsilon))
+    assert sol.kkt_residual <= 1e-7
+    np.testing.assert_array_equal(sol.support(),
+                                  np.flatnonzero(np.abs(want_w) > SUPPORT_EPSILON))
     np.testing.assert_allclose(sol.w, want_w, rtol=0, atol=1e-5)
     assert sol.c == pytest.approx(want_c, abs=1e-5)
     assert (sol.w[const] == 0.0).all()
@@ -718,8 +721,8 @@ def test_implicit_statistics_match_two_pass_statistics_on_every_row_set(monkeypa
 
 
 def test_wide_batch_matches_single_fits():
-    """Each wide fit of a lockstep batch has the support of its own
-    fit_l1_logistic on the drawn rows and the same objective to 1e-11, and
+    """Each wide fit of a lockstep batch has the support of its own fit, a
+    batch of one, on the drawn rows and the same objective to 1e-11, and
     a column constant on its drawn rows only gets weight exactly 0.
 
     The weights agree only to the solver tolerance: the one-pass column
@@ -735,10 +738,9 @@ def test_wide_batch_matches_single_fits():
     X[rows[chosen[0]], 0] = 2.5  # a selected column, now constant on one subsample
     sols = solver.fit_l1_batch(X, y, rows, cfg, scale)
     for b, sol in enumerate(sols):
-        want = fit_l1_logistic(X[rows[b]], y[rows[b]], cfg, column_scale=scale[b])
+        want = _fit_scaled(X[rows[b]], y[rows[b]], cfg, scale[b])
         assert sol.converged and want.converged
-        np.testing.assert_array_equal(sol.support(cfg.support_epsilon),
-                                      want.support(cfg.support_epsilon))
+        np.testing.assert_array_equal(sol.support(), want.support())
         assert sol.objective == pytest.approx(want.objective, rel=1e-11)
         np.testing.assert_allclose(sol.w, want.w, rtol=0, atol=1e-5)
         assert sol.c == pytest.approx(want.c, abs=1e-5)
@@ -765,11 +767,10 @@ def test_kernel_calls_split_by_memory_invisibly(monkeypatch, m):
     split = [sol for part in (slice(0, 3), slice(3, 6), slice(6, None))
              for sol in solver.fit_l1_batch(X, y, rows[part], cfg, scale[part])]
     assert sizes == [3, 3, 1]
-    assert any(sol.support(cfg.support_epsilon).size for sol in whole)
+    assert any(sol.support().size for sol in whole)
     for one, part in zip(whole, split, strict=True):
         assert one.converged and part.converged
-        np.testing.assert_array_equal(part.support(cfg.support_epsilon),
-                                      one.support(cfg.support_epsilon))
+        np.testing.assert_array_equal(part.support(), one.support())
         assert part.objective == pytest.approx(one.objective, rel=1e-11)
 
 

@@ -125,7 +125,7 @@ def test_block_cover_covers_each_masked_voxel_uniformly():
         cover = BlockCover(geometry, block)
         coverage = np.zeros(30, dtype=np.int64)
         for a in range(cover.n_anchors):
-            coverage[cover.voxels_of(a)] += 1
+            coverage[cover.features[cover.starts[a] : cover.starts[a + 1]]] += 1
         assert_array_equal(coverage, np.full(30, block[0] * block[1] * block[2]))
 
 
@@ -264,7 +264,8 @@ def test_block_cover_replays_reference(instance):
     assert_array_equal(cover.anchor_ids, anchor_ids)
     assert cover.n_anchors == anchor_ids.size
     for a in range(cover.n_anchors):
-        assert_array_equal(cover.voxels_of(a), features[starts[a] : starts[a + 1]])
+        assert_array_equal(cover.features[cover.starts[a] : cover.starts[a + 1]],
+                           features[starts[a] : starts[a + 1]])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -584,7 +585,7 @@ def _rss_manual_counts(ds, parc, config):
         averaged = average_supervoxels(ds.X[rows], picks, quotas)
         sol = fit_l1_logistic(averaged, ds.y[rows], config.solver)
         picked = _by_cluster(picks, quotas)
-        for g in sol.support(config.solver.support_epsilon):
+        for g in sol.support():
             counts[picked[g]] += 1
     return counts
 
@@ -620,11 +621,12 @@ def test_missing_geometry_falls_back_with_warning():
     assert scores.K == 5
 
 
-def test_widespread_non_convergence_aborts_with_diagnostics():
+def test_widespread_non_convergence_aborts_with_diagnostics(monkeypatch):
     ds = _noise_dataset(seed=5, n=20, dims=(6, 6, 1))
     parc = _slab_parcellation(ds.p, 4)
-    strangled = SolverConfig(loss_weight=0.5, max_iters=1, tol_kkt=1e-12)
-    config = StabilityConfig(solver=strangled, K=10, master_seed=2, block_shape=(2, 2, 1))
+    monkeypatch.setattr(solver, "_L1_MAX_ITERS", 1)  # strangled fits
+    monkeypatch.setattr(solver, "_L1_TOL_KKT", 1e-12)
+    config = StabilityConfig(solver=DEFAULT_SOLVER, K=10, master_seed=2, block_shape=(2, 2, 1))
     with pytest.raises(RuntimeError, match="failed to converge"):
         run_stability_selection(ds, parc, config)
 

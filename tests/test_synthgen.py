@@ -253,10 +253,13 @@ def test_ground_truth_names_the_file_and_line_of_a_bad_row(tmp_path, text, line)
 
 
 def test_ground_truth_type_constraints():
+    xyz = np.zeros((2, 3))
     with pytest.raises(ValueError, match="strictly increasing"):
-        GroundTruth(features=np.array([3, 1]), cluster_ids=np.array([1, 2]))
+        GroundTruth(features=np.array([3, 1]), cluster_ids=np.array([1, 2]), coords=xyz)
     with pytest.raises(ValueError, match="matching"):
-        GroundTruth(features=np.array([1, 2]), cluster_ids=np.array([1]))
-    assert_array_equal(GroundTruth(features=[2, 5], cluster_ids=[1, 1]).coords, -np.ones((2, 3)))
+        GroundTruth(features=np.array([1, 2]), cluster_ids=np.array([1]), coords=xyz)
+    truth = GroundTruth(features=[2, 5], cluster_ids=[1, 1], coords=[[0, 1, 2], [3, 4, 5]])
+    assert truth.coords.dtype == np.int64
+    assert_array_equal(truth.coords, [[0, 1, 2], [3, 4, 5]])
     with pytest.raises(ValueError, match="coords"):
         GroundTruth(features=np.array([1, 2]), cluster_ids=np.array([1, 1]), coords=np.zeros((2, 2)))
