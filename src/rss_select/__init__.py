@@ -18,7 +18,6 @@ from .clustering import (
     kmeans,
     load_parcellation,
     save_parcellation,
-    within_cluster_ss,
 )
 from .data import (
     ContainerError,
@@ -45,8 +44,6 @@ from .solver import SolverConfig, fit_l1_logistic, fit_l2_logistic
 from .stability import (
     DEFAULT_LOSS_WEIGHT,
     StabilityConfig,
-    average_supervoxels,
-    cluster_quotas,
     load_scores_csv,
     run_stability_selection,
     save_scores_csv,
@@ -80,9 +77,7 @@ __all__ = [
     "StabilityConfig",
     "StabilityScores",
     "SynthConfig",
-    "average_supervoxels",
     "build_feature_vectors",
-    "cluster_quotas",
     "cv_threshold",
     "fit_l1_logistic",
     "fit_l2_logistic",
@@ -106,6 +101,5 @@ __all__ = [
     "threshold_scores",
     "top_t_selection",
     "ttest_scores",
-    "within_cluster_ss",
     "__version__",
 ]

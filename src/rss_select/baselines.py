@@ -91,13 +91,9 @@ def randomized_l1(dataset: Dataset, config: RandL1Config, threads: int = 1) -> S
     """
     X, y = dataset.X, dataset.y.astype(np.float64)
 
-    def draw(gens):
-        return [(draw_row_subsample(dataset.n, config.alpha, gen),
-                 gen.uniform(config.weakness, 1.0, size=dataset.p)) for gen in gens]
+    def batch(start, gens):
+        rows = np.stack([draw_row_subsample(dataset.n, config.alpha, gen) for gen in gens])
+        scale = [gen.uniform(config.weakness, 1.0, size=dataset.p) for gen in gens]
+        return [(sol.support(), sol) for sol in fit_l1_batch(X, y, rows, config.solver, scale)]
 
-    def fit(draws):
-        sols = fit_l1_batch(X, y, np.stack([rows for rows, _ in draws]), config.solver,
-                            [scale for _, scale in draws])
-        return [(sol.support(), sol) for sol in sols]
-
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, dataset.p, threads)
+    return resample(dataset.p, config.K, config.master_seed, batch, dataset.p, threads)

@@ -112,6 +112,17 @@ def _dataset_checksums(path):
     return out
 
 
+def _load_container(path, scores_path, coords):
+    """The dataset at ``path``; refused if it has the scores' voxel count but
+    not their ``coords`` (-1 for no grid). Other counts fail later checks."""
+    dataset = load_dataset(path)
+    grid = np.full((dataset.p, 3), -1) if dataset.geometry is None else dataset.geometry.mask
+    if len(coords) == dataset.p and not np.array_equal(coords, grid):
+        raise ValueError(f"{scores_path} holds other voxels than {path}: the two come from "
+                         "different datasets")
+    return dataset
+
+
 def _write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -246,6 +257,9 @@ def cmd_eval(args, out_dir):
     loaded = load_scores_csv(args.scores)
     values = loaded["score"]
     inputs = {str(args.scores): sha256_file(args.scores)}
+    # every container is loaded and checked before any output is written
+    train, test, cv_train = (path and _load_container(path, args.scores, loaded["coords"])
+                             for path in (args.train, args.test, args.cv_train))
     outputs = []
     if args.truth:
         truth = load_ground_truth(args.truth)
@@ -271,8 +285,6 @@ def cmd_eval(args, out_dir):
         })
         outputs += [pr_path, summary_path]
     if accuracy:
-        train = load_dataset(args.train)
-        test = load_dataset(args.test)
         inputs.update(_dataset_checksums(args.train))
         inputs.update(_dataset_checksums(args.test))
         if values.size != train.p:
@@ -290,9 +302,8 @@ def cmd_eval(args, out_dir):
         })
         outputs.append(acc_path)
     if args.cv_train:
-        train = load_dataset(args.cv_train)
         inputs.update(_dataset_checksums(args.cv_train))
-        chosen = cv_threshold(train, values, grid=grid, n_folds=args.folds,
+        chosen = cv_threshold(cv_train, values, grid=grid, n_folds=args.folds,
                               lambda_ridge=args.lambda_ridge, seed=args.seed)
         cv_path = out_dir / "cv_threshold.json"
         _write_json(cv_path, {

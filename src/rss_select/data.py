@@ -234,8 +234,8 @@ class SolverSolution:
     c: float
     objective: float
     kkt_residual: float
-    converged: bool = True
-    n_iters: int = 0
+    converged: bool
+    n_iters: int
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.w, dtype=np.float64))

@@ -191,14 +191,14 @@ def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _l1_violation(gw, w, eps):
+def _l1_violation(gw, w):
     """Per-coordinate optimality residual for the L1 problem.
 
-    ``gw`` is the loss-weighted gradient. At (numerically) zero weights the
-    gradient must stay inside [-1, 1]; elsewhere it must cancel the penalty
-    subgradient sign(w).
+    ``gw`` is the loss-weighted gradient. At (numerically) zero weights,
+    ``|w| <= SUPPORT_EPSILON``, the gradient must stay inside [-1, 1];
+    elsewhere it must cancel the penalty subgradient sign(w).
     """
-    at_zero = np.abs(w) <= eps
+    at_zero = np.abs(w) <= SUPPORT_EPSILON
     return np.where(at_zero, np.maximum(np.abs(gw) - 1.0, 0.0), np.abs(gw + np.sign(w)))
 
 
@@ -286,7 +286,7 @@ def _solve_or_nan(H, r):
         return np.full(H.shape[0], math.nan)
 
 
-def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
+def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt):
     """Accelerated proximal gradient with a Newton finish, in lockstep over a
     stack of problems.
 
@@ -398,7 +398,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         of the live problems ``sel`` (ascending positions). Returns whether
         each step was accepted and the new ``(w, mw, c, F)`` where it was."""
         ws, cs, Fs, sg, rows = w[sel], c[sel], F[sel], sgn[sel], in_z[sel]
-        dw, dc = _newton_directions(Z, rows, np.abs(ws) > support_epsilon, gw[sel], gc[sel], sg,
+        dw, dc = _newton_directions(Z, rows, np.abs(ws) > SUPPORT_EPSILON, gw[sel], gc[sel], sg,
                                     q[sel], loss_weight)
         ok, mws = np.zeros(sel.size, dtype=bool), np.empty((sel.size, n))
         todo = np.flatnonzero(np.isfinite(dw).all(axis=1) & np.isfinite(dc))
@@ -460,7 +460,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         gvec = -(y * q)
         gw = loss_weight * _on_stack(_tmv, Z, in_z, gvec)
         gc = loss_weight * gvec.sum(axis=1)
-        viol = _l1_violation(gw, w, support_epsilon)
+        viol = _l1_violation(gw, w)
         kkt = np.maximum(viol.max(axis=1, initial=0.0), np.abs(gc))
         rule = np.where(kkt <= tol_kkt, _KKT, -1)
         t[took] = 1.0  # a Newton step restarts the momentum
@@ -473,7 +473,7 @@ def _prox_solve(Z, y, loss_weight, w0, c0, max_iters, tol_kkt, support_epsilon):
         step *= 1.1
         sgn = np.sign(w)
         settled = np.where((sgn == sgn_prev).all(axis=1), settled + 1, 0)
-        off = np.abs(w) <= support_epsilon
+        off = np.abs(w) <= SUPPORT_EPSILON
         ready = ((~off).sum(axis=1) < n) & ~(off & (viol > tol_kkt)).any(axis=1)
         due = ready & (settled >= 2)
         due[took] = ready[took]  # after a Newton step, whatever its signs
@@ -602,7 +602,7 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
     labels hold one class is never fitted: not converged, residual inf.
     """
     B, k = y.shape
-    lw, tol, eps = cfg.loss_weight, _L1_TOL_KKT, SUPPORT_EPSILON
+    lw, tol = cfg.loss_weight, _L1_TOL_KKT
     cols = _ImplicitColumns(X, rows, scale)
     # log(n_pos / n_neg) is the intercept's optimum at w = 0, so the first
     # screen already sees the gradients of the optimal empty model
@@ -626,7 +626,7 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
         viol -= 1.0
         np.maximum(viol, 0.0, out=viol)
         for i, b in enumerate(live):
-            viol[i, active[b]] = _l1_violation(on_active[i], weights[b], eps)
+            viol[i, active[b]] = _l1_violation(on_active[i], weights[b])
         kkt[live] = np.maximum(viol.max(axis=1), np.abs(gc))
         going = np.flatnonzero((kkt[live] > tol) & (iters[live] < _L1_MAX_ITERS))
         if not going.size:
@@ -653,7 +653,7 @@ def _fit_l1_working_set(X, y, rows, cfg, scale):
             wa[i, : active[b].size] = weights[b]
         wa, c[live], _, _, _, it_inner, _ = _prox_solve(
             Za, y[live], lw, wa, c[live], np.maximum(_L1_MAX_ITERS - iters[live], 1),
-            0.5 * tol, eps)
+            0.5 * tol)
         iters[live] += it_inner
         for i, b in enumerate(live):
             weights[b] = wa[i, : active[b].size]
@@ -701,7 +701,7 @@ def fit_l1_standardized(Z, y, config: SolverConfig) -> list[SolverSolution]:
     only reads Z."""
     c0 = np.array([_initial_intercept(v) for v in y])
     *fit, _ = _prox_solve(Z, y, config.loss_weight, np.zeros((Z.shape[0], Z.shape[2])), c0,
-                          _L1_MAX_ITERS, _L1_TOL_KKT, SUPPORT_EPSILON)
+                          _L1_MAX_ITERS, _L1_TOL_KKT)
     return _solutions(*fit)
 
 

@@ -8,12 +8,12 @@ of every selected cluster. Scores are selection counts out of K. A draw's
 picks are one flat array, cluster by cluster (see ``_quota_trim``).
 
 ``resample`` is the loop this selector shares with the randomized L1
-baseline: iteration k always draws from the random stream derived from
-(master_seed, k), and the fits of each batch of consecutive iterations go
-to the solver in one lockstep kernel call, so results are independent of
-thread count and iteration order. Only the fits read labels, so rss runs of
-one key inside ``sharing_designs`` share one design (cover, draws,
-standardized averages).
+baseline: it makes iteration k's generator from (master_seed, k) and calls
+the method's ``batch(start, gens)`` once per batch of consecutive
+iterations, which draws and fits them in one lockstep kernel call, so
+results are independent of thread count and iteration order. Only the fits
+read labels, so rss runs of one key inside ``sharing_designs`` share one
+design (cover, draws, standardized averages), kept by the rss ``batch``.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def draw_row_subsample(n: int, alpha: float, gen: np.random.Generator) -> np.nda
 
 
 def cluster_quotas(parcellation: Parcellation, beta: float) -> np.ndarray:
-    """Per-cluster pick counts: max(1, round_nearest(beta * cluster size))."""
-    if not (0 < beta <= 1):
-        raise ValueError("beta must lie in (0, 1]")
+    """Per-cluster pick counts: max(1, round_nearest(beta * cluster size)),
+    for the beta in (0, 1] that ``StabilityConfig`` checked."""
     sizes = np.bincount(parcellation.assignment, minlength=parcellation.q)
     return np.maximum(1, np.array([round_nearest(beta * s) for s in sizes]))
 
@@ -272,23 +271,21 @@ def draw_iteration(gen: np.random.Generator, n: int, alpha: float, parcellation:
                              quotas)
 
 
-def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
-             threads: int = 1, designs: dict | None = None) -> StabilityScores:
+def resample(p: int, K: int, master_seed: int, batch, entries: int,
+             threads: int = 1) -> StabilityScores:
     """Run K resampled fits and count how often each feature is selected.
 
     Iterations go in batches of ``lockstep_batch_size(entries)`` consecutive
     k, for fits of ``entries`` floats each (k x q for rss, p for rand-l1):
-    this loop alone decides how many fits share a kernel call.
-    ``draw(gens)`` makes a batch's design, iteration k drawing from
-    ``RngStream(master_seed, k)``; ``fit(design)`` hands the whole batch
-    to the solver, whose entry points only read it, in one lockstep kernel
-    call and returns (selected feature indices, SolverSolution) for each.
-    The scores also count the fits that did not converge and sum the
-    solver iterations of all K.
-    ``designs``, if given, maps (start, stop) to designs made so far and
-    takes those drawn now. Aborts when more than _MAX_FAILURE_FRACTION of
-    the fits do not converge, counting those whose drawn rows hold one
-    class, which the solver reports with residual inf.
+    this loop alone decides how many fits share a kernel call, and alone
+    makes the generators, iteration k's from ``RngStream(master_seed, k)``.
+    ``batch(start, gens)`` draws iterations start, start+1, ..., one per
+    generator, fits them in one lockstep kernel call, whose solver only
+    reads them, and returns (selected feature indices, SolverSolution) for
+    each. The scores also count the fits that did not converge and sum the
+    solver iterations of all K. Aborts when more than
+    _MAX_FAILURE_FRACTION of the fits do not converge, counting those whose
+    drawn rows hold one class, which the solver reports with residual inf.
 
     ``threads > 1`` runs the batches on a thread pool, when there are two or
     more. Every iteration owns its stream and the batches do not depend on
@@ -303,14 +300,10 @@ def resample(p: int, K: int, master_seed: int, draw, fit, entries: int,
     size = lockstep_batch_size(entries)
 
     def one(start):
-        batch = (start, min(start + size, K))
-        design = (designs or {}).get(batch) or draw(
-            [RngStream(master_seed, k).generator() for k in range(*batch)])
-        if designs is not None:
-            designs[batch] = design
+        gens = [RngStream(master_seed, k).generator() for k in range(start, min(start + size, K))]
         # keep no weight vector: K of them would hold K*p floats at once
         return [(selected, sol.converged, sol.kkt_residual, sol.n_iters)
-                for selected, sol in fit(design)]
+                for selected, sol in batch(start, gens)]
 
     starts = range(0, K, size)
     if threads > 1 and len(starts) > 1:
@@ -363,7 +356,7 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
     warning is emitted). A design is each batch's rows, picks and averaged
     stack, standardized once when it is drawn; the solver only reads it, so
     inside ``sharing_designs`` a run fits the design of an earlier run of
-    its key as it is.
+    its key as it is; outside it, no design outlives its batch's fits.
     """
     if parcellation.p != dataset.p:
         raise ValueError("parcellation and dataset disagree on feature count")
@@ -378,7 +371,7 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
     if memo.get("key") != key:
         cover = None if geometry is None else BlockCover(geometry, config.block_shape)
         memo.update(key=key, held=(X, parcellation, geometry), cover=cover, batches={})
-    cover = memo["cover"]
+    cover, batches = memo["cover"], memo["batches"]
     quotas = cluster_quotas(parcellation, config.beta)
 
     def draw(gens):
@@ -390,7 +383,10 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         return (np.stack([rows for rows, _ in draws]), [picks for _, picks in draws],
                 standardize_stack(averaged))
 
-    def fit(design):
+    def batch(start, gens):
+        design = batches.get(start) or draw(gens)
+        if slot is not None:
+            batches[start] = design
         rows, picks, stack = design
         sols = fit_l1_standardized(stack, y[rows], config.solver)
         return [(credited(p, sol), sol) for p, sol in zip(picks, sols)]
@@ -402,8 +398,7 @@ def run_stability_selection(dataset: Dataset, parcellation: Parcellation,
         return picks[np.repeat(chosen, quotas)]
 
     entries = round_nearest(config.alpha * dataset.n) * parcellation.q
-    return resample(dataset.p, config.K, config.master_seed, draw, fit, entries, threads,
-                    None if slot is None else memo["batches"])
+    return resample(dataset.p, config.K, config.master_seed, batch, entries, threads)
 
 
 def threshold_scores(scores: StabilityScores, tau: float) -> np.ndarray:

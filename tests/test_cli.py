@@ -387,6 +387,28 @@ def test_eval_truth_rejects_a_truth_file_of_another_dataset(workspace, tmp_path,
     assert not (out / "pr_curve.csv").exists()
 
 
+def test_eval_containers_reject_scores_of_another_grid(workspace, tmp_path, capsys):
+    """Scores of 400 voxels on a 10x10x6 grid index the 400 voxels of the
+    12x12x4 workspace too, but at other coordinates: the accuracy and
+    cross-validation paths refuse such scores, naming both paths, and
+    write nothing."""
+    other = tmp_path / "other"
+    assert main(["synth", "--out-dir", str(other), "--dims", "10x10x6", "--mask", "400",
+                 "--clusters", "10,10,8,8,8", "--n-per-group", "10"]) == 0
+    assert main(["select", "--dataset", str(other / "dataset"), "--method", "ttest",
+                 "--out-dir", str(tmp_path / "sel")]) == 0
+    capsys.readouterr()
+    scores, data = tmp_path / "sel" / "scores.csv", workspace["data"]
+    for flags in (["--cv-train", str(data)],
+                  ["--train", str(data), "--test", str(data), "--tau", "0"]):
+        out = tmp_path / flags[0].strip("-")
+        assert main(["eval", "--scores", str(scores), *flags, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {scores} holds other voxels than {data}: the two come from "
+                       "different datasets\n")
+        assert list(out.iterdir()) == []
+
+
 def test_eval_accuracy_rejects_training_labels_of_one_class(tmp_path, capsys):
     rng = np.random.default_rng(4)
     data = tmp_path / "dataset"

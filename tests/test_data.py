@@ -301,7 +301,8 @@ def test_stability_scores_bounds():
 
 def test_solver_solution_support():
     sol = SolverSolution(w=np.array([0.0, 1e-12, 0.5, -SUPPORT_EPSILON, -2 * SUPPORT_EPSILON]),
-                         c=0.1, objective=1.0, kkt_residual=1e-9)
+                         c=0.1, objective=1.0, kkt_residual=1e-9, converged=True, n_iters=3)
     np.testing.assert_array_equal(sol.support(), [2, 4])
     with pytest.raises(ValueError):
-        SolverSolution(w=np.array([np.nan]), c=0.0, objective=1.0, kkt_residual=0.0)
+        SolverSolution(w=np.array([np.nan]), c=0.0, objective=1.0, kkt_residual=0.0,
+                       converged=True, n_iters=1)

@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import importlib.util
+import sys
 from pathlib import Path
 
 import rss_select
@@ -43,3 +45,18 @@ def test_every_config_field_is_set_by_the_cli():
     unset = [f"{cls.__name__}.{f.name}" for cls in configs for f in dataclasses.fields(cls)
              if f.init and f.name not in passed[cls.__name__]]
     assert unset == []
+
+
+def test_every_benchmark_trace_site_resolves(monkeypatch):
+    """The benchmark's tracer finds every name it wraps: a refactor that
+    renames or moves one of them fails here, not only in the benchmark.
+    The tracer's file is loaded as it is, from outside the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_trace)  # its dataclass needs it there
+    spec.loader.exec_module(bench_trace)
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.missing == []

@@ -438,7 +438,7 @@ def test_lockstep_kernel_replays_reference_loop(instance):
     iteration count. Tight tolerances, separable labels and low caps drive
     problems into the iteration-cap rule too."""
     Z, y, lw, w0, c0, cap, tol = instance
-    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
+    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol)
     for b in range(Z.shape[0]):
         ww, wc, wobj, wkkt, wconv, wit = oracles.prox_solve_reference(
             Z[b], y[b], lw, w0[b], c0[b], cap, tol, 1e-8)
@@ -457,7 +457,7 @@ def test_converged_problems_are_optimal_by_oracle_gradient(instance):
     L1 violation and the intercept's ``loss_weight * |sum g|`` are both at
     most tol_kkt."""
     Z, y, lw, w0, c0, cap, tol = instance
-    w, c, _, _, conv, _, _ = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
+    w, c, _, _, conv, _, _ = solver._prox_solve(Z, y, lw, w0, c0, cap, tol)
     for b in np.flatnonzero(conv):
         _, gw, gc = oracles.logistic_loss_and_grad(Z[b], y[b], w[b], c[b])
         assert oracles._l1_violation_reference(lw * gw, w[b], 1e-8).max(initial=0.0) <= tol
@@ -471,10 +471,10 @@ def test_lockstep_result_ignores_batch_mates():
     Z, y = _stack(rng, 9, 24, 10)
     caps = rng.integers(20, 400, size=9)
     alone = [solver._prox_solve(Z[b:b + 1], y[b:b + 1], 1.3, np.zeros((1, 10)), np.zeros(1),
-                                caps[b:b + 1], 1e-9, 1e-8) for b in range(9)]
+                                caps[b:b + 1], 1e-9) for b in range(9)]
     for order in (np.arange(9), rng.permutation(9), np.array([4, 0, 7])):
         got = solver._prox_solve(Z[order], y[order], 1.3, np.zeros((order.size, 10)),
-                                 np.zeros(order.size), caps[order], 1e-9, 1e-8)
+                                 np.zeros(order.size), caps[order], 1e-9)
         for i, b in enumerate(order):
             for part, want in zip(got, alone[b]):
                 assert part[i].tobytes() == want[0].tobytes()
@@ -506,7 +506,7 @@ def test_newton_finishes_stack_mates_at_different_iterations():
         score = 2.0 * Z[b, :, : b + 1].sum(axis=1) + 0.7 * rng.normal(size=n)
         y[b] = np.where(score > 0, 1.0, -1.0)
     w0, c0 = np.zeros((B, a)), np.zeros(B)
-    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, 1.0, w0, c0, 10000, 1e-9, 1e-8)
+    w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, 1.0, w0, c0, 10000, 1e-9)
     finished_at, sizes = set(), set()
     for b, ((ww, wc, wobj, wkkt, wconv, wit), steps) in enumerate(
             _steps(Z, y, 1.0, w0, c0, 10000, 1e-9)):
@@ -541,7 +541,7 @@ def test_newton_step_stops_a_weight_that_would_cross_zero_at_zero(monkeypatch):
     for cap in (4, 5, 6, 10000):
         directions.clear()
         w, _, obj, *_ = solver._prox_solve(Z[None], y[None], 2.0, np.zeros((1, 6)), np.zeros(1),
-                                           cap, 1e-9, 1e-8)
+                                           cap, 1e-9)
         runs[cap] = w[0], obj[0], len(directions), directions[-1] if directions else None
     (w4, obj4, tries4, _), (w5, obj5, tries5, dw) = runs[4], runs[5]
     assert tries5 == tries4 + 1
@@ -566,7 +566,7 @@ def test_newton_steps_never_raise_the_objective_and_stop_by_kkt(instance):
     ``kkt`` unless that step was its last allowed iteration, and no problem
     runs past its cap."""
     Z, y, lw, w0, c0, cap, tol = instance
-    _, _, obj, _, _, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol, 1e-8)
+    _, _, obj, _, _, iters, stop = solver._prox_solve(Z, y, lw, w0, c0, cap, tol)
     for b, (_, steps) in enumerate(_steps(Z, y, lw, w0, c0, cap, tol)):
         newton = [step for step in steps if step[0] == "newton"]
         assert all(after <= before for _, before, after, _, _ in newton)
@@ -618,7 +618,7 @@ def test_fit_whose_residual_oscillated_now_stops_by_kkt():
     y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     sol, = solver.fit_l1_standardized(Z[None], y[None], SolverConfig(loss_weight=4.0))
     _, _, _, kkt, _, iters, stop = solver._prox_solve(Z[None], y[None], 4.0, np.zeros((1, 4)),
-                                                      np.zeros(1), 10000, 1e-6, 1e-8)
+                                                      np.zeros(1), 10000, 1e-6)
     assert solver._STOP_RULES[stop[0]] == "kkt" and iters[0] <= 6 and kkt[0] <= 1e-9
     assert sol.converged and sol.n_iters <= 6 and sol.kkt_residual <= 1e-9
     assert sol.objective == pytest.approx(27.428151809149856, rel=1e-12)
@@ -632,12 +632,12 @@ def test_one_class_labels_are_never_fitted():
     Z, y = _stack(np.random.default_rng(8), 3, 12, 4)
     y[1] = -1.0
     w, c, obj, kkt, conv, iters, stop = solver._prox_solve(Z, y, 2.0, np.zeros((3, 4)),
-                                                           np.zeros(3), 500, 1e-8, 1e-8)
+                                                           np.zeros(3), 500, 1e-8)
     assert solver._STOP_RULES[stop[1]] == "one class"
     assert (kkt[1], bool(conv[1]), iters[1]) == (math.inf, False, 0) and not w[1].any()
     for b in (0, 2):
         alone = solver._prox_solve(Z[b:b + 1], y[b:b + 1], 2.0, np.zeros((1, 4)), np.zeros(1),
-                                   500, 1e-8, 1e-8)
+                                   500, 1e-8)
         assert all(part[b].tobytes() == want[0].tobytes()
                    for part, want in zip((w, c, obj, kkt, conv, iters, stop), alone))
     X, rows = Z.reshape(-1, 4), np.arange(36).reshape(3, 12)

@@ -110,8 +110,6 @@ def test_cluster_quotas_floor_and_rounding():
     assert_array_equal(cluster_quotas(parc, 0.1), [1, 1, 1])
     assert_array_equal(cluster_quotas(parc, 0.5), [5, 2, 3])  # 2.5 rounds up
     assert_array_equal(cluster_quotas(parc, 1.0), [10, 3, 5])
-    with pytest.raises(ValueError, match="beta"):
-        cluster_quotas(parc, 0.0)
 
 
 def test_block_cover_covers_each_masked_voxel_uniformly():
@@ -490,17 +488,18 @@ def test_counts_ignore_threads_across_lockstep_batches(monkeypatch, record_batch
 def test_resample_counts_unconverged_fits_and_sums_their_iterations(threads):
     """The scores report how many of the K fits did not converge and the
     sum of their solver iterations, the same in batches of one on any
-    thread count."""
-    def draw(gens):
-        return [int(gen.integers(1, 60)) for gen in gens]
+    thread count; the batch that starts at iteration k draws from stream k."""
+    drawn = {}
 
-    def fit(design):
+    def batch(start, gens):
+        drawn[start] = [int(gen.integers(1, 60)) for gen in gens]
         return [(np.array([0]), SolverSolution(w=np.zeros(1), c=0.0, objective=1.0,
                                                kkt_residual=1.0, converged=n % 7 != 0, n_iters=n))
-                for n in design]
+                for n in drawn[start]]
 
-    scores = resample(3, 30, 11, draw, fit, entries=1 << 30, threads=threads)
-    want = [draw([RngStream(11, k).generator()])[0] for k in range(30)]
+    scores = resample(3, 30, 11, batch, entries=1 << 30, threads=threads)
+    want = [int(RngStream(11, k).generator().integers(1, 60)) for k in range(30)]
+    assert drawn == {k: [n] for k, n in enumerate(want)}
     assert scores.solver_iterations == sum(want)
     assert scores.fits_not_converged == sum(n % 7 == 0 for n in want) > 0
     assert scores.counts.tolist() == [30, 0, 0]
